@@ -27,8 +27,8 @@ Status ErrorFrom(std::uint8_t code, const char* what) {
 
 }  // namespace
 
-TaskClient::TaskClient(RpcChannel* rpc, KernelCore* core)
-    : rpc_(rpc),
+TaskClient::TaskClient(RpcTransport* transport, KernelCore* core)
+    : rpc_(transport, core),
       core_(core),
       spawn_rr_((core->self() + 1) % core->num_nodes()),
       reads_(core->metrics().counter("dsm.reads")),
@@ -66,7 +66,7 @@ Result<gmm::GlobalAddr> TaskClient::AllocStriped(std::uint64_t size,
   req.policy = proto::HomePolicy::kStriped;
   req.param = block_log2;
   auto resp =
-      Expect<proto::AllocResp>(rpc_->Call(0, std::move(req), DataPolicy()));
+      Expect<proto::AllocResp>(rpc_.Call(0, std::move(req), DataPolicy()));
   if (!resp.ok()) return resp.status();
   DSE_RETURN_IF_ERROR(ErrorFrom(resp->error, "alloc failed"));
   return resp->addr;
@@ -79,7 +79,7 @@ Result<gmm::GlobalAddr> TaskClient::AllocOnNode(std::uint64_t size,
   req.policy = proto::HomePolicy::kOnNode;
   req.param = static_cast<std::uint8_t>(home);
   auto resp =
-      Expect<proto::AllocResp>(rpc_->Call(0, std::move(req), DataPolicy()));
+      Expect<proto::AllocResp>(rpc_.Call(0, std::move(req), DataPolicy()));
   if (!resp.ok()) return resp.status();
   DSE_RETURN_IF_ERROR(ErrorFrom(resp->error, "alloc failed"));
   return resp->addr;
@@ -88,7 +88,7 @@ Result<gmm::GlobalAddr> TaskClient::AllocOnNode(std::uint64_t size,
 Status TaskClient::Free(gmm::GlobalAddr addr) {
   DSE_RETURN_IF_ERROR(FlushWrites());
   auto resp =
-      Expect<proto::FreeAck>(rpc_->Call(0, proto::FreeReq{addr}, DataPolicy()));
+      Expect<proto::FreeAck>(rpc_.Call(0, proto::FreeReq{addr}, DataPolicy()));
   if (!resp.ok()) return resp.status();
   return ErrorFrom(resp->error, "free failed");
 }
@@ -270,7 +270,7 @@ Status TaskClient::DispatchReads(const std::vector<ReadItem>& items,
       calls.size() > 1 && (core_->pipelined_transfers() ||
                            core_->batching_enabled() || prefetching);
   if (many) {
-    auto resps = rpc_->CallMany(std::move(calls), DataPolicy());
+    auto resps = rpc_.CallMany(std::move(calls), DataPolicy());
     if (!resps.ok()) return resps.status();
     for (size_t i = 0; i < call_items.size(); ++i) {
       DSE_RETURN_IF_ERROR(apply(std::move((*resps)[i]), call_items[i]));
@@ -279,7 +279,7 @@ Status TaskClient::DispatchReads(const std::vector<ReadItem>& items,
   }
   for (size_t i = 0; i < calls.size(); ++i) {
     auto resp =
-        rpc_->Call(calls[i].first, std::move(calls[i].second), DataPolicy());
+        rpc_.Call(calls[i].first, std::move(calls[i].second), DataPolicy());
     if (!resp.ok()) return resp.status();
     DSE_RETURN_IF_ERROR(apply(std::move(*resp), call_items[i]));
   }
@@ -338,7 +338,7 @@ Status TaskClient::DispatchWriteCalls(
       calls.size() > 1 &&
       (core_->pipelined_transfers() || core_->batching_enabled());
   if (many) {
-    auto resps = rpc_->CallMany(std::move(calls), DataPolicy());
+    auto resps = rpc_.CallMany(std::move(calls), DataPolicy());
     if (!resps.ok()) return resps.status();
     for (size_t i = 0; i < resps->size(); ++i) {
       DSE_RETURN_IF_ERROR(check_ack(std::move((*resps)[i]), batch_sizes[i]));
@@ -347,7 +347,7 @@ Status TaskClient::DispatchWriteCalls(
   }
   for (size_t i = 0; i < calls.size(); ++i) {
     auto resp =
-        rpc_->Call(calls[i].first, std::move(calls[i].second), DataPolicy());
+        rpc_.Call(calls[i].first, std::move(calls[i].second), DataPolicy());
     if (!resp.ok()) return resp.status();
     DSE_RETURN_IF_ERROR(check_ack(std::move(*resp), batch_sizes[i]));
   }
@@ -544,7 +544,7 @@ Result<std::int64_t> TaskClient::AtomicFetchAdd(gmm::GlobalAddr addr,
   req.op = proto::AtomicOp::kFetchAdd;
   req.addr = addr;
   req.operand = delta;
-  auto resp = Expect<proto::AtomicResp>(rpc_->Call(
+  auto resp = Expect<proto::AtomicResp>(rpc_.Call(
       gmm::HomeOf(addr, num_nodes()), std::move(req), DataPolicy()));
   if (!resp.ok()) return resp.status();
   return resp->old_value;
@@ -560,7 +560,7 @@ Result<std::int64_t> TaskClient::AtomicCompareExchange(gmm::GlobalAddr addr,
   req.addr = addr;
   req.operand = desired;
   req.expected = expected;
-  auto resp = Expect<proto::AtomicResp>(rpc_->Call(
+  auto resp = Expect<proto::AtomicResp>(rpc_.Call(
       gmm::HomeOf(addr, num_nodes()), std::move(req), DataPolicy()));
   if (!resp.ok()) return resp.status();
   return resp->old_value;
@@ -570,7 +570,7 @@ Status TaskClient::Lock(std::uint64_t lock_id) {
   DSE_RETURN_IF_ERROR(FlushWrites());
   lock_requests_->Add();
   auto resp = Expect<proto::LockGrant>(
-      rpc_->Call(LockHome(lock_id), proto::LockReq{lock_id}, SyncPolicy()));
+      rpc_.Call(LockHome(lock_id), proto::LockReq{lock_id}, SyncPolicy()));
   return resp.status();
 }
 
@@ -578,7 +578,7 @@ Status TaskClient::Unlock(std::uint64_t lock_id) {
   // Release semantics: everything written inside the critical section must
   // be home-visible before the lock can pass to the next holder.
   DSE_RETURN_IF_ERROR(FlushWrites());
-  return rpc_->Post(LockHome(lock_id), proto::UnlockReq{lock_id});
+  return rpc_.Post(LockHome(lock_id), proto::UnlockReq{lock_id});
 }
 
 Status TaskClient::Barrier(std::uint64_t barrier_id, int parties) {
@@ -589,7 +589,7 @@ Status TaskClient::Barrier(std::uint64_t barrier_id, int parties) {
   req.barrier_id = barrier_id;
   req.parties = static_cast<std::uint32_t>(parties);
   auto resp = Expect<proto::BarrierRelease>(
-      rpc_->Call(LockHome(barrier_id), std::move(req), SyncPolicy()));
+      rpc_.Call(LockHome(barrier_id), std::move(req), SyncPolicy()));
   return resp.status();
 }
 
@@ -604,7 +604,7 @@ Result<Gpid> TaskClient::Spawn(const std::string& task_name,
     dst = -1;
     for (NodeId n = 0; n < num_nodes(); ++n) {
       auto resp = Expect<proto::LoadResp>(
-          rpc_->Call(n, proto::LoadReq{}, DataPolicy()));
+          rpc_.Call(n, proto::LoadReq{}, DataPolicy()));
       if (!resp.ok()) return resp.status();
       if (dst < 0 || resp->running_tasks < best_load) {
         best_load = resp->running_tasks;
@@ -629,7 +629,7 @@ Result<Gpid> TaskClient::Spawn(const std::string& task_name,
   }
   req.arg = std::move(arg);
   auto resp =
-      Expect<proto::SpawnResp>(rpc_->Call(dst, std::move(req), DataPolicy()));
+      Expect<proto::SpawnResp>(rpc_.Call(dst, std::move(req), DataPolicy()));
   if (!resp.ok()) return resp.status();
   DSE_RETURN_IF_ERROR(ErrorFrom(resp->error, "spawn failed"));
   if (keep_record) spawned_[resp->gpid] = std::move(record);
@@ -640,7 +640,7 @@ Result<std::vector<std::uint8_t>> TaskClient::Join(Gpid gpid) {
   DSE_RETURN_IF_ERROR(FlushWrites());
   auto resp =
       Expect<proto::JoinResp>(
-          rpc_->Call(GpidNode(gpid), proto::JoinReq{gpid}, SyncPolicy()));
+          rpc_.Call(GpidNode(gpid), proto::JoinReq{gpid}, SyncPolicy()));
   if (!resp.ok()) return resp.status();
   if (static_cast<ErrorCode>(resp->error) == ErrorCode::kUnavailable &&
       core_->restart_tasks()) {
@@ -669,7 +669,7 @@ Status TaskClient::Print(Gpid gpid, const std::string& text) {
   proto::ConsoleOut msg;
   msg.gpid = gpid;
   msg.text = text;
-  return rpc_->Post(0, std::move(msg));
+  return rpc_.Post(0, std::move(msg));
 }
 
 Status TaskClient::PublishName(const std::string& name,
@@ -680,14 +680,14 @@ Status TaskClient::PublishName(const std::string& name,
   req.name = name;
   req.value = value;
   auto resp =
-      Expect<proto::NameAck>(rpc_->Call(0, std::move(req), DataPolicy()));
+      Expect<proto::NameAck>(rpc_.Call(0, std::move(req), DataPolicy()));
   if (!resp.ok()) return resp.status();
   return ErrorFrom(resp->error, "publish failed");
 }
 
 Result<std::uint64_t> TaskClient::LookupName(const std::string& name) {
   auto resp = Expect<proto::NameResp>(
-      rpc_->Call(0, proto::NameLookup{name}, DataPolicy()));
+      rpc_.Call(0, proto::NameLookup{name}, DataPolicy()));
   if (!resp.ok()) return resp.status();
   DSE_RETURN_IF_ERROR(ErrorFrom(resp->error, "lookup failed"));
   return resp->value;
@@ -706,7 +706,7 @@ Result<std::uint64_t> TaskClient::SubmitJob(std::uint32_t tenant,
   req.gang = gang;
   req.locality_hint = locality_hint;
   auto resp = Expect<proto::JobSubmitResp>(
-      rpc_->Call(0, std::move(req), DataPolicy()));
+      rpc_.Call(0, std::move(req), DataPolicy()));
   if (!resp.ok()) return resp.status();
   DSE_RETURN_IF_ERROR(ErrorFrom(resp->error, "job submit refused"));
   return resp->job_id;
@@ -714,7 +714,7 @@ Result<std::uint64_t> TaskClient::SubmitJob(std::uint32_t tenant,
 
 Result<std::map<std::string, std::uint64_t>> TaskClient::SchedStat() {
   auto resp = Expect<proto::SchedStatResp>(
-      rpc_->Call(0, proto::SchedStatReq{}, DataPolicy()));
+      rpc_.Call(0, proto::SchedStatReq{}, DataPolicy()));
   if (!resp.ok()) return resp.status();
   return std::move(resp->counters);
 }
@@ -723,7 +723,7 @@ Result<std::vector<proto::PsEntry>> TaskClient::ClusterPs() {
   std::vector<proto::PsEntry> all;
   for (NodeId n = 0; n < num_nodes(); ++n) {
     auto resp =
-        Expect<proto::PsResp>(rpc_->Call(n, proto::PsReq{}, DataPolicy()));
+        Expect<proto::PsResp>(rpc_.Call(n, proto::PsReq{}, DataPolicy()));
     if (!resp.ok()) return resp.status();
     all.insert(all.end(), resp->entries.begin(), resp->entries.end());
   }
@@ -735,7 +735,7 @@ Result<std::vector<MetricsSnapshot>> TaskClient::ClusterStats() {
   per_node.reserve(static_cast<size_t>(num_nodes()));
   for (NodeId n = 0; n < num_nodes(); ++n) {
     auto resp = Expect<proto::StatsResp>(
-        rpc_->Call(n, proto::StatsReq{}, DataPolicy()));
+        rpc_.Call(n, proto::StatsReq{}, DataPolicy()));
     if (!resp.ok()) return resp.status();
     per_node.push_back(std::move(resp->counters));
   }

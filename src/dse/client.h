@@ -3,8 +3,8 @@
 // This is the paper's Parallel API library interior: it builds request
 // messages, splits accesses at home and coherence-block boundaries, consults
 // the node's read cache, and analyzes responses. The backend supplies only
-// the blocking transport (RpcChannel) — everything protocol-shaped lives
-// here once.
+// the task's RpcTransport; the blocking calls run on the shared RpcEngine —
+// everything protocol-shaped lives here once.
 #pragma once
 
 #include <cstdint>
@@ -20,57 +20,15 @@
 #include "dse/kernel_core.h"
 #include "dse/task.h"
 #include "dse/proto/messages.h"
+#include "dse/rpc_engine.h"
 
 namespace dse {
 
-// Failure policy for one blocking call. The backend waits `deadline_ms` per
-// attempt (0 = forever) and retries up to `max_attempts` total sends of the
-// SAME req_id with exponential backoff between attempts; the kernel's
-// at-most-once cache makes the resends safe for mutating requests. On final
-// failure the call surfaces kTimeout (no answer) or kUnavailable (peer
-// known dead / channel shut down) instead of hanging.
-struct CallPolicy {
-  int deadline_ms = 0;      // per-attempt wait; 0 = block forever
-  int max_attempts = 1;     // total sends (1 = no retry)
-  int backoff_base_ms = 5;  // sleep base between attempts: base, 2x, 4x, ...
-};
-
-// Backend-provided blocking message channel for one task.
-class RpcChannel {
- public:
-  virtual ~RpcChannel() = default;
-
-  // Sends `body` to node `dst`'s kernel and blocks for the response with the
-  // matching req_id, observing `policy`'s deadline/retry budget.
-  virtual Result<proto::Envelope> Call(NodeId dst, proto::Body body,
-                                       const CallPolicy& policy = {}) = 0;
-
-  // Split-transaction variant: issues every request before waiting for any
-  // response, hiding round-trip latency behind each other. Responses are
-  // returned in request order. The default implementation degrades to
-  // serial Calls; backends override with true pipelining.
-  virtual Result<std::vector<proto::Envelope>> CallMany(
-      std::vector<std::pair<NodeId, proto::Body>> calls,
-      const CallPolicy& policy = {}) {
-    std::vector<proto::Envelope> out;
-    out.reserve(calls.size());
-    for (auto& [dst, body] : calls) {
-      auto resp = Call(dst, std::move(body), policy);
-      if (!resp.ok()) return resp.status();
-      out.push_back(std::move(*resp));
-    }
-    return out;
-  }
-
-  // One-way message (no response expected).
-  virtual Status Post(NodeId dst, proto::Body body) = 0;
-};
-
 class TaskClient {
  public:
-  // `core` is the local node's kernel (for the read cache); `rpc` is this
-  // task's channel.
-  TaskClient(RpcChannel* rpc, KernelCore* core);
+  // `core` is the local node's kernel (for the read cache); `transport` is
+  // this task's message transport.
+  TaskClient(RpcTransport* transport, KernelCore* core);
 
   // Flushes any write-combined spans still buffered: a task that returns
   // without reaching a sync point must not lose its writes.
@@ -208,7 +166,7 @@ class TaskClient {
     NodeId node = -1;  // node the task was placed on
   };
 
-  RpcChannel* rpc_;
+  RpcEngine rpc_;
   KernelCore* core_;
   int spawn_rr_;
 

@@ -1,145 +1,77 @@
 #include "dse/node_host.h"
 
-#include <algorithm>
 #include <chrono>
 #include <utility>
 
 #include "common/check.h"
 #include "common/log.h"
 #include "dse/client.h"
-#include "dse/recovery/recovery.h"
 
 namespace dse {
 
-// One blocked client call waiting for its response. On failure (timeout
-// final, peer dead, service exit) `error` is set instead of `resp`.
-struct NodeHost::Waiter {
-  std::mutex mu;
-  std::condition_variable cv;
-  bool ready = false;
-  proto::Envelope resp;
-  Status error = Status::Ok();
-};
-
 namespace {
 
-// Delivers a response or failure to a waiter. The waiter lives on the
-// calling task's stack and is destroyed as soon as that task observes
-// `ready`; notifying while holding the mutex keeps the condition variable
-// alive through the notify (the waiter cannot re-acquire the mutex, return
-// and destruct until we release it).
-void DeliverResponse(NodeHost::Waiter* waiter, proto::Envelope env) {
-  std::lock_guard<std::mutex> lock(waiter->mu);
-  waiter->resp = std::move(env);
-  waiter->ready = true;
-  waiter->cv.notify_one();
+// The caller holds a reference to `box` (taken from the pending table), so
+// the mailbox outlives the notify even if its task has already given up.
+void Deliver(NodeHost::Mailbox& box, RpcArrival arrival) {
+  {
+    std::lock_guard<std::mutex> lock(box.mu);
+    box.arrivals.push_back(std::move(arrival));
+  }
+  box.cv.notify_one();
 }
 
-void DeliverFailure(NodeHost::Waiter* waiter, const Status& error) {
-  std::lock_guard<std::mutex> lock(waiter->mu);
-  waiter->error = error;
-  waiter->ready = true;
-  waiter->cv.notify_one();
-}
-
-// Consumes a ready waiter (must only be called after `ready` was observed
-// or while willing to block for it).
-Result<proto::Envelope> TakeOutcome(NodeHost::Waiter* waiter) {
-  std::unique_lock<std::mutex> lock(waiter->mu);
-  waiter->cv.wait(lock, [&] { return waiter->ready; });
-  if (!waiter->error.ok()) return waiter->error;
-  return std::move(waiter->resp);
-}
-
-// RpcChannel over the host's endpoint + pending table.
-class HostRpc final : public RpcChannel {
+// RpcTransport over the host's endpoint and pending table; every arrival
+// for this task lands in its own mailbox.
+class HostRpc final : public RpcTransport {
  public:
   explicit HostRpc(NodeHost* host) : host_(host) {}
 
-  Result<proto::Envelope> Call(NodeId dst, proto::Body body,
-                               const CallPolicy& policy) override {
-    proto::Envelope env;
-    env.req_id = host_->NextReqId();
-    env.src_node = host_->self();
-    env.body = std::move(body);
-    return host_->CallAndAwait(dst, std::move(env), policy);
+  std::uint64_t NextReqId() override { return host_->NextReqId(); }
+  void Register(std::uint64_t req_id, NodeId dst) override {
+    host_->RegisterCall(req_id, mailbox_, dst);
   }
-
-  Result<std::vector<proto::Envelope>> CallMany(
-      std::vector<std::pair<NodeId, proto::Body>> calls,
-      const CallPolicy& policy) override {
-    // True pipelining: register every waiter, send every request, then
-    // collect. FIFO transports preserve per-destination order, so requests
-    // to one home still serialize there. The envelopes are kept around so a
-    // timed-out await can resend the same req_id.
-    std::vector<std::unique_ptr<NodeHost::Waiter>> waiters;
-    waiters.reserve(calls.size());
-    std::vector<proto::Envelope> envs;
-    envs.reserve(calls.size());
-    std::vector<NodeId> dsts;
-    dsts.reserve(calls.size());
-    Status first_error = Status::Ok();
-    for (auto& [dst, body] : calls) {
-      auto waiter = std::make_unique<NodeHost::Waiter>();
-      proto::Envelope env;
-      env.req_id = host_->NextReqId();
-      env.src_node = host_->self();
-      env.body = std::move(body);
-      const NodeId routed = host_->ResolveDst(dst);
-      if (host_->core().replication_on()) {
-        env.epoch = host_->core().epoch();
-      }
-      host_->RegisterWaiter(env.req_id, waiter.get(), routed);
-      const Status sent = host_->SendEnvelope(routed, env);
-      if (!sent.ok()) {
-        if (host_->core().replication_on() &&
-            sent.code() == ErrorCode::kUnavailable) {
-          // Dead destination under replication: fail the waiter so the
-          // await loop below runs its failover resend instead of giving up.
-          if (host_->DropWaiter(env.req_id)) {
-            DeliverFailure(waiter.get(), sent);
-          }
-        } else if (host_->DropWaiter(env.req_id)) {
-          first_error = sent;
-          break;
-        }
-        // Otherwise the service path claimed the entry concurrently (e.g. a
-        // dead-node sweep); the waiter will be answered below.
-      }
-      envs.push_back(std::move(env));
-      dsts.push_back(dst);
-      waiters.push_back(std::move(waiter));
-    }
-    // Await everything that was sent — even when failing, so no late
-    // response targets a dead waiter frame.
-    std::vector<proto::Envelope> out;
-    out.reserve(waiters.size());
-    for (size_t i = 0; i < waiters.size(); ++i) {
-      auto resp =
-          host_->AwaitWithRetry(dsts[i], envs[i], waiters[i].get(), policy);
-      if (!resp.ok()) {
-        if (first_error.ok()) first_error = resp.status();
-        continue;
-      }
-      out.push_back(std::move(*resp));
-    }
-    if (!first_error.ok()) return first_error;
-    return out;
+  void Unregister(std::uint64_t req_id) override {
+    host_->UnregisterCall(req_id);
   }
-
-  Status Post(NodeId dst, proto::Body body) override {
-    proto::Envelope env;
-    env.req_id = 0;
-    env.src_node = host_->self();
-    env.body = std::move(body);
-    if (host_->core().replication_on()) {
-      env.epoch = host_->core().epoch();
+  Status Send(NodeId dst, const proto::Envelope& env) override {
+    return host_->SendEnvelope(dst, env);
+  }
+  std::int64_t NowNs() override {
+    return std::chrono::duration_cast<std::chrono::nanoseconds>(
+               std::chrono::steady_clock::now().time_since_epoch())
+        .count();
+  }
+  std::optional<RpcArrival> Await(std::int64_t deadline_ns) override {
+    NodeHost::Mailbox& box = *mailbox_;
+    std::unique_lock<std::mutex> lock(box.mu);
+    const auto ready = [&] { return !box.arrivals.empty(); };
+    if (deadline_ns == kNoDeadline) {
+      box.cv.wait(lock, ready);
+    } else if (!box.cv.wait_until(
+                   lock,
+                   std::chrono::steady_clock::time_point(
+                       std::chrono::duration_cast<
+                           std::chrono::steady_clock::duration>(
+                           std::chrono::nanoseconds(deadline_ns))),
+                   ready)) {
+      return std::nullopt;
     }
-    return host_->SendEnvelope(host_->ResolveDst(dst), env);
+    RpcArrival arrival = std::move(box.arrivals.front());
+    box.arrivals.pop_front();
+    return arrival;
+  }
+  void Pause(int ms) override {
+    std::this_thread::sleep_for(std::chrono::milliseconds(ms));
+  }
+  void OnBounce(NodeId responder, const proto::RetryResp& rr) override {
+    host_->HandleRetrySignal(responder, rr);
   }
 
  private:
   NodeHost* host_;
+  std::shared_ptr<NodeHost::Mailbox> mailbox_ =
+      std::make_shared<NodeHost::Mailbox>();
 };
 
 // Task implementation handed to application code.
@@ -299,8 +231,6 @@ NodeHost::NodeHost(net::Endpoint* endpoint, int num_nodes, Options options)
       peer_dead_(static_cast<size_t>(num_nodes)),
       drain_initiated_(static_cast<size_t>(num_nodes)) {
   DSE_CHECK(options_.registry != nullptr);
-  rpc_timeouts_ = core_.metrics().counter("rpc.timeout");
-  rpc_retries_ = core_.metrics().counter("rpc.retry");
   nodes_dead_ = core_.metrics().counter("node.dead");
 }
 
@@ -314,10 +244,6 @@ NodeHost::~NodeHost() {
   endpoint_->Shutdown();
   if (service_.joinable()) service_.join();
   WaitTasksDrained();
-  std::lock_guard<std::mutex> lock(tasks_mu_);
-  for (auto& t : task_threads_) {
-    if (t.joinable()) t.join();
-  }
 }
 
 std::int64_t NodeHost::NowMs() const {
@@ -513,10 +439,6 @@ bool NodeHost::PeerDead(NodeId node) const {
       std::memory_order_relaxed);
 }
 
-void NodeHost::MarkPeerDead(NodeId node, const char* why) {
-  EvictPeer(node, 0, why);
-}
-
 void NodeHost::LatchPeerDead(NodeId node, const char* why) {
   if (node < 0 || node >= core_.num_nodes() || node == self()) return;
   if (!peer_dead_[static_cast<size_t>(node)].exchange(
@@ -601,188 +523,40 @@ std::uint64_t NodeHost::NextReqId() {
   return next_req_id_.fetch_add(1, std::memory_order_relaxed);
 }
 
-void NodeHost::RegisterWaiter(std::uint64_t req_id, Waiter* waiter,
-                              NodeId dst) {
+void NodeHost::RegisterCall(std::uint64_t req_id,
+                            const std::shared_ptr<Mailbox>& box, NodeId dst) {
   std::lock_guard<std::mutex> lock(pending_mu_);
-  pending_.emplace(req_id, Pending{waiter, dst});
+  pending_.insert_or_assign(req_id, Pending{box, dst});
 }
 
-bool NodeHost::DropWaiter(std::uint64_t req_id) {
+void NodeHost::UnregisterCall(std::uint64_t req_id) {
   std::lock_guard<std::mutex> lock(pending_mu_);
-  return pending_.erase(req_id) > 0;
+  pending_.erase(req_id);
 }
 
 void NodeHost::FailAllPending(const Status& error) {
-  std::vector<Waiter*> victims;
+  std::unordered_map<std::uint64_t, Pending> victims;
   {
     std::lock_guard<std::mutex> lock(pending_mu_);
-    victims.reserve(pending_.size());
-    for (const auto& [id, p] : pending_) victims.push_back(p.waiter);
-    pending_.clear();
+    victims.swap(pending_);
   }
-  for (Waiter* w : victims) DeliverFailure(w, error);
+  for (auto& [id, p] : victims) Deliver(*p.box, RpcArrival{id, error});
 }
 
 void NodeHost::FailPendingTo(NodeId dst, const Status& error) {
-  std::vector<Waiter*> victims;
+  std::vector<std::pair<std::uint64_t, std::shared_ptr<Mailbox>>> victims;
   {
     std::lock_guard<std::mutex> lock(pending_mu_);
     for (auto it = pending_.begin(); it != pending_.end();) {
       if (it->second.dst == dst) {
-        victims.push_back(it->second.waiter);
+        victims.emplace_back(it->first, std::move(it->second.box));
         it = pending_.erase(it);
       } else {
         ++it;
       }
     }
   }
-  for (Waiter* w : victims) DeliverFailure(w, error);
-}
-
-Result<proto::Envelope> NodeHost::FailCall(std::uint64_t req_id,
-                                           Waiter* waiter,
-                                           const Status& error) {
-  if (DropWaiter(req_id)) return error;
-  // The service path claimed the entry first: a response or failure is in
-  // flight to this waiter and must be consumed (the waiter is stack memory).
-  return TakeOutcome(waiter);
-}
-
-Result<proto::Envelope> NodeHost::CallAndAwait(NodeId dst,
-                                               proto::Envelope env,
-                                               const CallPolicy& policy) {
-  Waiter waiter;
-  const NodeId routed = ResolveDst(dst);
-  if (core_.replication_on()) env.epoch = core_.epoch();
-  RegisterWaiter(env.req_id, &waiter, routed);
-  const Status sent = SendEnvelope(routed, env);
-  if (!sent.ok()) {
-    if (core_.replication_on() && sent.code() == ErrorCode::kUnavailable) {
-      // Dead destination under replication: fail the waiter so
-      // AwaitWithRetry runs its failover resend instead of giving up.
-      if (DropWaiter(env.req_id)) DeliverFailure(&waiter, sent);
-    } else {
-      return FailCall(env.req_id, &waiter, sent);
-    }
-  }
-  return AwaitWithRetry(dst, env, &waiter, policy);
-}
-
-Status NodeHost::FailoverResend(NodeId natural, proto::Envelope* env,
-                                Waiter* waiter) {
-  // Brief pause: evictions propagate on heartbeat cadence; resending
-  // full-speed would just bounce again.
-  std::this_thread::sleep_for(
-      std::chrono::milliseconds(recovery::kFailoverPauseMs));
-  {
-    std::lock_guard<std::mutex> lock(waiter->mu);
-    waiter->ready = false;
-    waiter->error = Status::Ok();
-    waiter->resp = proto::Envelope{};
-  }
-  const NodeId routed = ResolveDst(natural);
-  env->epoch = core_.epoch();
-  RegisterWaiter(env->req_id, waiter, routed);
-  const Status sent = SendEnvelope(routed, *env);
-  if (sent.ok()) return Status::Ok();
-  if (!DropWaiter(env->req_id)) return Status::Ok();  // answer raced in
-  if (sent.code() == ErrorCode::kUnavailable) {
-    // Destination (still) dead and not yet re-routed: fail the waiter so
-    // the caller's failover loop comes around after another pause.
-    DeliverFailure(waiter, sent);
-    return Status::Ok();
-  }
-  return sent;
-}
-
-Result<proto::Envelope> NodeHost::AwaitWithRetry(NodeId dst,
-                                                 const proto::Envelope& env_in,
-                                                 Waiter* waiter,
-                                                 const CallPolicy& policy) {
-  proto::Envelope env = env_in;
-  const int attempts = std::max(1, policy.max_attempts);
-  const bool bounded = policy.deadline_ms > 0;
-  // Failover retries (dead destination, epoch bounce) do not consume
-  // attempts — they wait out the eviction — but stay bounded so a cluster
-  // that never converges still surfaces an error.
-  int failovers = 0;
-  for (int attempt = 1;;) {
-    bool ready = false;
-    {
-      std::unique_lock<std::mutex> lock(waiter->mu);
-      if (bounded) {
-        waiter->cv.wait_for(lock,
-                            std::chrono::milliseconds(policy.deadline_ms),
-                            [&] { return waiter->ready; });
-      } else {
-        waiter->cv.wait(lock, [&] { return waiter->ready; });
-      }
-      ready = waiter->ready;
-    }
-    if (ready) {
-      Result<proto::Envelope> outcome = TakeOutcome(waiter);
-      const bool can_failover =
-          core_.replication_on() && failovers < recovery::kMaxFailovers;
-      if (!outcome.ok()) {
-        if (can_failover &&
-            outcome.status().code() == ErrorCode::kUnavailable) {
-          ++failovers;
-          if (const Status s = FailoverResend(dst, &env, waiter); !s.ok()) {
-            return s;
-          }
-          continue;
-        }
-        return outcome;
-      }
-      if (const auto* rr = std::get_if<proto::RetryResp>(&outcome->body)) {
-        if (!can_failover) {
-          return Unavailable("epoch bounce with no failover budget left");
-        }
-        HandleRetrySignal(outcome->src_node, *rr);
-        ++failovers;
-        if (const Status s = FailoverResend(dst, &env, waiter); !s.ok()) {
-          return s;
-        }
-        continue;
-      }
-      return outcome;
-    }
-    // This attempt's deadline expired with no answer.
-    rpc_timeouts_->Add();
-    if (attempt >= attempts) {
-      if (DropWaiter(env.req_id)) {
-        return Timeout("rpc to node " + std::to_string(dst) +
-                       " timed out after " + std::to_string(attempts) +
-                       " attempt(s)");
-      }
-      // Claimed concurrently: the answer is on its way — take it.
-      return TakeOutcome(waiter);
-    }
-    ++attempt;
-    rpc_retries_->Add();
-    const int base = std::max(1, policy.backoff_base_ms);
-    const int backoff =
-        std::min(1000, base << std::min(attempt - 1, 10));
-    std::this_thread::sleep_for(std::chrono::milliseconds(backoff));
-    // Resend the SAME req_id; the home's at-most-once cache absorbs the
-    // duplicate if the original made it and only the response was lost.
-    // Re-resolve the destination: the home may have failed over since.
-    const NodeId routed = ResolveDst(dst);
-    if (core_.replication_on()) env.epoch = core_.epoch();
-    const Status sent = SendEnvelope(routed, env);
-    if (!sent.ok()) {
-      if (core_.replication_on() &&
-          sent.code() == ErrorCode::kUnavailable &&
-          failovers < recovery::kMaxFailovers) {
-        // Destination died between resolve and send; keep waiting — the
-        // eviction sweep fails the pending call, which re-enters the
-        // failover path above.
-        ++failovers;
-        continue;
-      }
-      return FailCall(env.req_id, waiter, sent);
-    }
-  }
+  for (auto& [id, box] : victims) Deliver(*box, RpcArrival{id, error});
 }
 
 std::vector<std::uint8_t> NodeHost::RunLocalTask(
@@ -815,10 +589,10 @@ void NodeHost::FinishLocalTask(Gpid gpid, std::vector<std::uint8_t> result) {
 void NodeHost::WaitTasksDrained() {
   std::unique_lock<std::mutex> lock(tasks_mu_);
   tasks_cv_.wait(lock, [&] { return live_tasks_ == 0; });
-  for (auto& t : task_threads_) {
-    if (t.joinable()) t.join();
-  }
-  task_threads_.clear();
+  // Every finished thread has let go of tasks_mu_ for good; joining only
+  // waits out its exit.
+  for (auto& t : finished_) t.join();
+  finished_.clear();
 }
 
 void NodeHost::WaitServiceExit() {
@@ -888,39 +662,45 @@ void NodeHost::Perform(KernelCore::Actions actions) {
 }
 
 void NodeHost::StartTaskThread(KernelCore::StartTask st) {
+  std::vector<std::thread> reap;
   {
     std::lock_guard<std::mutex> lock(tasks_mu_);
+    reap.swap(finished_);
     ++live_tasks_;
-  }
-  std::thread thread([this, st = std::move(st)]() mutable {
-    {
-      std::vector<std::uint8_t> result;
-      {
-        HostTask task(this, st.gpid, std::move(st.arg));
-        // Spawn validation runs before a StartTask is emitted, so a missing
-        // entry here means the registry changed underneath us; degrade to an
-        // empty result instead of killing the node.
-        if (TaskFn fn = options_.registry->TryGet(st.task_name)) {
-          fn(task);
-        } else {
-          DSE_LOG(kWarn) << "node " << self() << ": task '" << st.task_name
-                         << "' vanished from the registry; finishing empty";
-        }
-        result = task.TakeResult();
-      }
-      // The task (and its client, whose destructor flushes any combined
-      // writes) is gone before the result becomes joinable: a joiner must
-      // never observe the result ahead of the task's last writes.
-      FinishLocalTask(st.gpid, std::move(result));
-    }
-    {
+    // The thread cannot reach its epilogue (which takes tasks_mu_) before
+    // its handle is in place.
+    const auto handle = running_.emplace(running_.end());
+    *handle = std::thread([this, handle, st = std::move(st)]() mutable {
+      RunTask(std::move(st));
       std::lock_guard<std::mutex> lock(tasks_mu_);
+      finished_.push_back(std::move(*handle));
+      running_.erase(handle);
       --live_tasks_;
+      tasks_cv_.notify_all();
+    });
+  }
+  for (auto& t : reap) t.join();
+}
+
+void NodeHost::RunTask(KernelCore::StartTask st) {
+  std::vector<std::uint8_t> result;
+  {
+    HostTask task(this, st.gpid, std::move(st.arg));
+    // Spawn validation runs before a StartTask is emitted, so a missing
+    // entry here means the registry changed underneath us; degrade to an
+    // empty result instead of killing the node.
+    if (TaskFn fn = options_.registry->TryGet(st.task_name)) {
+      fn(task);
+    } else {
+      DSE_LOG(kWarn) << "node " << self() << ": task '" << st.task_name
+                     << "' vanished from the registry; finishing empty";
     }
-    tasks_cv_.notify_all();
-  });
-  std::lock_guard<std::mutex> lock(tasks_mu_);
-  task_threads_.push_back(std::move(thread));
+    result = task.TakeResult();
+  }
+  // The task (and its client, whose destructor flushes any combined
+  // writes) is gone before the result becomes joinable: a joiner must
+  // never observe the result ahead of the task's last writes.
+  FinishLocalTask(st.gpid, std::move(result));
 }
 
 void NodeHost::ServiceLoop() {
@@ -1017,16 +797,16 @@ void NodeHost::ServiceLoop() {
           }
         }
       }
-      Waiter* waiter = nullptr;
+      std::shared_ptr<Mailbox> box;
       {
         std::lock_guard<std::mutex> lock(pending_mu_);
         const auto it = pending_.find(env.req_id);
         if (it != pending_.end()) {
-          waiter = it->second.waiter;
+          box = std::move(it->second.box);
           pending_.erase(it);
         }
       }
-      if (waiter == nullptr) {
+      if (box == nullptr) {
         // Expected under faults: the duplicate of a dup'd response, or an
         // answer arriving after its call was failed (timeout/dead peer).
         core_.metrics().counter("rpc.orphan_resp")->Add();
@@ -1034,7 +814,8 @@ void NodeHost::ServiceLoop() {
                         << env.req_id;
         continue;
       }
-      DeliverResponse(waiter, std::move(env));
+      const std::uint64_t req_id = env.req_id;
+      Deliver(*box, RpcArrival{req_id, std::move(env)});
       continue;
     }
 

@@ -11,7 +11,9 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <functional>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -22,6 +24,7 @@
 #include "dse/client.h"
 #include "dse/kernel_core.h"
 #include "dse/registry.h"
+#include "dse/rpc_engine.h"
 #include "dse/task.h"
 #include "net/endpoint.h"
 
@@ -145,54 +148,48 @@ class NodeHost {
   }
 
   // --- internals shared with the Task implementation -----------------------
-  struct Waiter;
+  // One task's inbox: responses and failures for its registered req_ids.
+  // The pending table co-owns it, so a delivery racing the task's exit
+  // never touches freed memory, and the service thread pushes and wakes
+  // the task without holding pending_mu_.
+  struct Mailbox {
+    std::mutex mu;
+    std::condition_variable cv;
+    std::deque<RpcArrival> arrivals;
+  };
   std::uint64_t NextReqId();
-  void RegisterWaiter(std::uint64_t req_id, Waiter* waiter, NodeId dst);
-  // Removes the pending entry. Returns false when the service path already
-  // claimed it — the response (or failure) is being delivered and the caller
-  // must consume it instead of abandoning the stack-allocated waiter.
-  bool DropWaiter(std::uint64_t req_id);
+  // Routes the next arrival for `req_id` to `box`; `dst` is where the
+  // request went (its death fails the call). Re-registering replaces both.
+  void RegisterCall(std::uint64_t req_id, const std::shared_ptr<Mailbox>& box,
+                    NodeId dst);
+  void UnregisterCall(std::uint64_t req_id);
   net::Endpoint& endpoint() { return *endpoint_; }
   // Encodes, counts (per-type + wire bytes) and sends. The single outbound
   // choke point — all kernel and client traffic flows through here so the
   // metrics registry sees every message exactly once. Fails fast with
   // kUnavailable on peers declared dead (Shutdown excepted).
   Status SendEnvelope(NodeId dst, const proto::Envelope& env);
-  // Registers a waiter, sends `env`, and blocks for the response under
-  // `policy` (per-attempt deadline, bounded resends of the same req_id,
-  // exponential backoff). Every failure path surfaces a Status — this call
-  // cannot hang unless the policy says block forever AND no failure is
-  // detected.
-  Result<proto::Envelope> CallAndAwait(NodeId dst, proto::Envelope env,
-                                       const CallPolicy& policy);
-  // The await half (request already registered and sent once): used by the
-  // pipelined CallMany, which issues every request before awaiting any.
-  Result<proto::Envelope> AwaitWithRetry(NodeId dst,
-                                         const proto::Envelope& env,
-                                         Waiter* waiter,
-                                         const CallPolicy& policy);
+  // Client-side reaction to a kRetryResp epoch bounce: adopt the
+  // responder's eviction if it is ahead, push-repair it with an EvictReq if
+  // it lags.
+  void HandleRetrySignal(NodeId responder, const proto::RetryResp& rr);
   void FinishLocalTask(Gpid gpid, std::vector<std::uint8_t> result);
 
  private:
   struct Pending {
-    Waiter* waiter = nullptr;
+    std::shared_ptr<Mailbox> box;
     NodeId dst = -1;  // request destination, for dead-node call failure
   };
 
   void ServiceLoop();
   void Perform(KernelCore::Actions actions);
   void StartTaskThread(KernelCore::StartTask st);
-
-  // Resolves a failed send against the pending table: normally returns
-  // `error`, but if the response won the race the caller takes it instead.
-  Result<proto::Envelope> FailCall(std::uint64_t req_id, Waiter* waiter,
-                                   const Status& error);
+  void RunTask(KernelCore::StartTask st);
   // Delivers `error` to every pending call (service loop exited: nothing
   // will ever answer them).
   void FailAllPending(const Status& error);
   // Delivers `error` to every pending call addressed to `dst`.
   void FailPendingTo(NodeId dst, const Status& error);
-  void MarkPeerDead(NodeId node, const char* why);
   // Latches `node` suspected-dead and fails its in-flight calls (no
   // membership change yet). Safe to call repeatedly.
   void LatchPeerDead(NodeId node, const char* why);
@@ -210,13 +207,6 @@ class NodeHost {
   // a severed minority never forks the membership. Evictions carried by
   // EvictReq/RetryResp gossip (epoch != 0) apply unconditionally.
   void EvictPeer(NodeId node, std::uint32_t epoch, const char* why);
-  // Client-side reaction to a kRetryResp epoch bounce: adopt the
-  // responder's eviction if it is ahead, push-repair it with an EvictReq if
-  // it lags.
-  void HandleRetrySignal(NodeId responder, const proto::RetryResp& rr);
-  // Re-resolves, re-registers and resends a call after a failover signal.
-  // Ok means the waiter will be answered (keep awaiting).
-  Status FailoverResend(NodeId natural, proto::Envelope* env, Waiter* waiter);
   void HeartbeatLoop();
   std::int64_t NowMs() const;
 
@@ -254,14 +244,15 @@ class NodeHost {
   std::condition_variable hb_cv_;
   bool hb_stop_ = false;
 
-  // Pre-resolved failure counters (rpc.timeout / rpc.retry / node.dead).
-  Counter* rpc_timeouts_ = nullptr;
-  Counter* rpc_retries_ = nullptr;
   Counter* nodes_dead_ = nullptr;
 
+  // Task threads. A finishing thread moves its own handle from running_ to
+  // finished_; the next spawn (or a drain) joins it, so a long-lived node
+  // holds no more thread stacks than it has live tasks.
   std::mutex tasks_mu_;
   std::condition_variable tasks_cv_;
-  std::vector<std::thread> task_threads_;
+  std::list<std::thread> running_;
+  std::vector<std::thread> finished_;
   int live_tasks_ = 0;
 };
 

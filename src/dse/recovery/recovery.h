@@ -64,9 +64,9 @@ namespace dse::recovery {
 // sim.
 inline constexpr int kSimDetectionDelayMs = 5;
 
-// Real milliseconds a threaded/process client pauses between failover
-// resends. Evictions propagate at heartbeat cadence; resending full speed
-// would only bounce again.
+// Milliseconds a client pauses before each failover resend (virtual ones in
+// the simulator). Evictions propagate at heartbeat cadence; resending full
+// speed would only bounce again.
 inline constexpr int kFailoverPauseMs = 5;
 
 // Upper bound on failover resends of one call. Failovers do not consume the

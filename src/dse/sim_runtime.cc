@@ -152,8 +152,8 @@ struct SimNode {
   SimState* state;
 
   std::uint64_t next_req_id = 1;
-  // Response channel of the task blocked on each req_id.
-  std::unordered_map<std::uint64_t, sim::Channel<proto::Envelope>*> pending;
+  // Mailbox of the task blocked on each req_id.
+  std::unordered_map<std::uint64_t, sim::Channel<RpcArrival>*> pending;
 
   bool shutting_down = false;
 };
@@ -595,167 +595,45 @@ void ChargeAndSend(sim::Context& ctx, SimState& state, NodeId src, NodeId dst,
 
 // --- Task-side RPC ----------------------------------------------------------
 
-class SimRpc final : public RpcChannel {
+// RpcTransport over the simulated mailbox: sends pay their software cost in
+// this task's virtual time, and deadlines are virtual too.
+class SimRpc final : public RpcTransport {
  public:
   SimRpc(SimNode* node, sim::Context* ctx)
-      : node_(node), ctx_(ctx), resp_(&node->state->sim) {}
+      : node_(node), ctx_(ctx), mailbox_(&node->state->sim) {}
 
-  Result<proto::Envelope> Call(NodeId dst, proto::Body body,
-                               const CallPolicy& policy) override {
-    std::vector<std::pair<NodeId, proto::Body>> one;
-    one.emplace_back(dst, std::move(body));
-    auto resps = CallMany(std::move(one), policy);
-    if (!resps.ok()) return resps.status();
-    return std::move((*resps)[0]);
+  std::uint64_t NextReqId() override { return node_->next_req_id++; }
+  void Register(std::uint64_t req_id, NodeId /*dst*/) override {
+    node_->pending.insert_or_assign(req_id, &mailbox_);
   }
-
-  Result<std::vector<proto::Envelope>> CallMany(
-      std::vector<std::pair<NodeId, proto::Body>> calls,
-      const CallPolicy& policy) override {
-    // Issue every request (each still pays its software send cost in this
-    // task's virtual time), then collect the responses, which may arrive in
-    // any order. Under an active fault plan the collection is bounded by the
-    // policy's per-attempt deadline in *virtual* time, with resends of the
-    // same req_ids; a lossless simulation waits unbounded as before (and
-    // schedules no timer events).
-    SimState& state = *node_->state;
-    struct Slot {
-      NodeId dst = -1;
-      proto::Envelope env;  // kept for resends
-      int attempts = 1;
-      bool done = false;
-    };
-    std::vector<Slot> slots;
-    slots.reserve(calls.size());
-    for (auto& [dst, body] : calls) {
-      Slot s;
-      s.dst = dst;  // natural destination; each (re)send re-resolves
-      s.env.req_id = node_->next_req_id++;
-      s.env.src_node = node_->core.self();
-      s.env.body = std::move(body);
-      if (node_->core.replication_on()) s.env.epoch = node_->core.epoch();
-      node_->pending.emplace(s.env.req_id, &resp_);
-      proto::Envelope copy = s.env;
-      const NodeId routed = Routed(dst);
-      slots.push_back(std::move(s));
-      ChargeAndSend(*ctx_, state, node_->core.self(), routed,
-                    std::move(copy));
-    }
-    const bool bounded = state.fault != nullptr && policy.deadline_ms > 0;
-    const int max_attempts = std::max(1, policy.max_attempts);
-    std::unordered_map<std::uint64_t, size_t> index;
-    index.reserve(slots.size());
-    for (size_t i = 0; i < slots.size(); ++i) {
-      index.emplace(slots[i].env.req_id, i);
-    }
-    std::unordered_map<std::uint64_t, proto::Envelope> got;
-    size_t remaining = slots.size();
-    while (remaining > 0) {
-      std::optional<proto::Envelope> resp;
-      if (bounded) {
-        resp = resp_.PopUntil(
-            *ctx_, ctx_->Now() + sim::Millis(policy.deadline_ms));
-      } else {
-        resp = resp_.Pop(*ctx_);
-      }
-      if (resp.has_value()) {
-        const auto it = index.find(resp->req_id);
-        if (it == index.end() || slots[it->second].done) {
-          // A response to a call this channel already gave up on (its reply
-          // raced the final timeout into our mailbox), or a duplicate.
-          node_->core.metrics().counter("rpc.stale_resp")->Add();
-          continue;
-        }
-        if (std::get_if<proto::RetryResp>(&resp->body) != nullptr) {
-          // Epoch bounce: the serving node is in a newer membership epoch
-          // than this request's stamp. The sim applies evictions directly on
-          // every survivor, so after a short pause this kernel has caught
-          // up; re-resolve the route, re-stamp and resend the same req_id
-          // (the promoted backup replays recorded responses).
-          Slot& s = slots[it->second];
-          node_->core.metrics().counter("recovery.client_retries")->Add();
-          ctx_->Sleep(sim::Millis(1));
-          if (node_->core.replication_on()) {
-            s.env.epoch = node_->core.epoch();
-          }
-          node_->pending.emplace(s.env.req_id, &resp_);
-          proto::Envelope copy = s.env;
-          ChargeAndSend(*ctx_, state, node_->core.self(), Routed(s.dst),
-                        std::move(copy));
-          continue;
-        }
-        slots[it->second].done = true;
-        got.emplace(resp->req_id, std::move(*resp));
-        --remaining;
-        continue;
-      }
-      // Deadline expired: every outstanding call timed out this attempt.
-      for (const Slot& s : slots) {
-        if (!s.done) node_->core.metrics().counter("rpc.timeout")->Add();
-      }
-      int worst_attempt = 0;
-      for (Slot& s : slots) {
-        if (s.done) continue;
-        worst_attempt = std::max(worst_attempt, s.attempts);
-        if (s.attempts >= max_attempts) {
-          // Final failure: abandon every outstanding call so late replies
-          // become counted orphans instead of corrupting a future call.
-          for (const Slot& o : slots) {
-            if (!o.done) node_->pending.erase(o.env.req_id);
-          }
-          return Timeout("rpc to node " + std::to_string(s.dst) +
-                         " timed out after " +
-                         std::to_string(max_attempts) + " attempt(s)");
-        }
-      }
-      // Back off in virtual time, then resend the SAME req_ids (the home's
-      // at-most-once cache absorbs duplicates).
-      const int base = std::max(1, policy.backoff_base_ms);
-      const int backoff =
-          std::min(1000, base << std::min(worst_attempt - 1, 10));
-      ctx_->Sleep(sim::Millis(backoff));
-      for (Slot& s : slots) {
-        if (s.done) continue;
-        ++s.attempts;
-        node_->core.metrics().counter("rpc.retry")->Add();
-        // Re-resolve and re-stamp: the silence may be a dead destination
-        // whose eviction has since been applied.
-        if (node_->core.replication_on()) s.env.epoch = node_->core.epoch();
-        proto::Envelope copy = s.env;
-        ChargeAndSend(*ctx_, state, node_->core.self(), Routed(s.dst),
-                      std::move(copy));
-      }
-    }
-    std::vector<proto::Envelope> out;
-    out.reserve(slots.size());
-    for (const Slot& s : slots) {
-      out.push_back(std::move(got.at(s.env.req_id)));
-    }
-    return out;
+  void Unregister(std::uint64_t req_id) override {
+    node_->pending.erase(req_id);
   }
-
-  Status Post(NodeId dst, proto::Body body) override {
-    proto::Envelope env;
-    env.req_id = 0;
-    env.src_node = node_->core.self();
-    env.body = std::move(body);
-    if (node_->core.replication_on()) env.epoch = node_->core.epoch();
-    ChargeAndSend(*ctx_, *node_->state, node_->core.self(), Routed(dst),
-                  std::move(env));
+  Status Send(NodeId dst, const proto::Envelope& env) override {
+    ChargeAndSend(*ctx_, *node_->state, node_->core.self(), dst, env);
     return Status::Ok();
   }
+  std::int64_t NowNs() override { return ctx_->Now(); }
+  std::optional<RpcArrival> Await(std::int64_t deadline_ns) override {
+    // A lossless simulation waits unbounded and schedules no timer event:
+    // nothing can be lost, so a deadline would only perturb the event
+    // queue.
+    if (node_->state->fault == nullptr ||
+        deadline_ns == RpcTransport::kNoDeadline) {
+      return mailbox_.Pop(*ctx_);
+    }
+    return mailbox_.PopUntil(*ctx_, deadline_ns);
+  }
+  void Pause(int ms) override { ctx_->Sleep(sim::Millis(ms)); }
+  // Evictions are applied on every survivor directly (SimState::
+  // ReactToMembership), so there is no view to reconcile.
+  void OnBounce(NodeId /*responder*/,
+                const proto::RetryResp& /*rr*/) override {}
 
  private:
-  // Node currently serving `natural`'s homes (the promoted backup after an
-  // eviction; identity while replication is off).
-  NodeId Routed(NodeId natural) const {
-    return node_->core.replication_on() ? node_->core.RouteOf(natural)
-                                        : natural;
-  }
-
   SimNode* node_;
   sim::Context* ctx_;
-  sim::Channel<proto::Envelope> resp_;
+  sim::Channel<RpcArrival> mailbox_;
 };
 
 // --- Task implementation ----------------------------------------------------
@@ -968,13 +846,14 @@ void KernelLoop(sim::Context& ctx, SimState& state, SimNode& node) {
         node.core.metrics().counter("rpc.orphan_resp")->Add();
         continue;
       }
-      sim::Channel<proto::Envelope>* resp = it->second;
+      sim::Channel<RpcArrival>* mailbox = it->second;
       node.pending.erase(it);
       if (state.legacy()) {
         // Old organization: response crosses back to the app process.
         ctx.Sleep(prof.legacy_ipc_hop * k);
       }
-      resp->Push(std::move(d.env));
+      const std::uint64_t req_id = d.env.req_id;
+      mailbox->Push(RpcArrival{req_id, std::move(d.env)});
       continue;
     }
 

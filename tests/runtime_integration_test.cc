@@ -3,7 +3,9 @@
 // randomized coherence stress test against a reference memory model.
 #include <atomic>
 #include <cstring>
+#include <fstream>
 #include <numeric>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -422,6 +424,42 @@ TEST(RuntimeStats, GmmCountersAdvance) {
   EXPECT_GE(rt.gmm_stats(1).writes, 1u);
   EXPECT_GE(rt.gmm_stats(1).atomics, 1u);
   EXPECT_GE(rt.gmm_stats(0).allocs, 1u);
+}
+
+// Reads one numeric field (e.g. "Threads:") of /proc/self/status.
+long ProcStatus(const std::string& field) {
+  std::ifstream in("/proc/self/status");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind(field, 0) == 0) return std::stol(line.substr(field.size()));
+  }
+  return -1;
+}
+
+// A finished task's thread is joined on the next spawn, not only when the
+// runtime drains: thousands of sequential spawn+join pairs in one RunMain
+// keep the process's thread count and address space flat. An exited but
+// unjoined thread no longer counts in "Threads:" yet keeps its stack mapped
+// (8 MiB by default), so 3000 of them would add ~24 GiB of VmSize; the few
+// threads still exiting plus allocator arenas stay far below 1 GiB.
+TEST(RuntimeTasks, FinishedTaskThreadsAreJoinedAsTheyGo) {
+  if (ProcStatus("VmSize:") < 0) GTEST_SKIP() << "no /proc/self/status";
+  ThreadedRuntime rt(ThreadedOptions{.num_nodes = 2});
+  rt.registry().Register("noop", [](Task&) {});
+  rt.registry().Register("main", [](Task& t) {
+    auto pairs = [&](int n) {
+      for (int i = 0; i < n; ++i) {
+        ASSERT_TRUE(t.Join(t.Spawn("noop", {}, 1).value()).ok());
+      }
+    };
+    pairs(50);
+    const long threads_before = ProcStatus("Threads:");
+    const long vm_before_kb = ProcStatus("VmSize:");
+    pairs(3000);
+    EXPECT_LE(ProcStatus("Threads:"), threads_before + 8);
+    EXPECT_LT(ProcStatus("VmSize:") - vm_before_kb, 1L << 20);
+  });
+  rt.RunMain("main");
 }
 
 }  // namespace

@@ -120,6 +120,30 @@ TEST(StatsSchema, DrainCountersRenderIdenticalNameSets) {
   }
 }
 
+// The failover counter family (docs/recovery.md, docs/fault_model.md): an
+// epoch bounce is counted where it was served (recovery.epoch_bounces), its
+// resend on the calling node (recovery.client_retries, on every runtime),
+// and replies that outlived their call where they landed (rpc.stale_resp in
+// a task's mailbox, rpc.orphan_resp at the service loop).
+TEST(StatsSchema, FailoverCountersRenderIdenticalNameSets) {
+  std::vector<MetricsSnapshot> per_node(3);
+  per_node[0]["recovery.client_retries"] = 2;
+  per_node[0]["rpc.stale_resp"] = 1;
+  per_node[1]["recovery.epoch_bounces"] = 2;
+  per_node[2]["recovery.evictions"] = 1;
+  per_node[2]["rpc.orphan_resp"] = 1;
+
+  ExpectSameSchema(per_node);
+
+  const std::set<std::string> names =
+      JsonCounterNames(ssi::StatsToJson(per_node, {}));
+  for (const char* required :
+       {"recovery.client_retries", "recovery.epoch_bounces",
+        "rpc.stale_resp", "rpc.orphan_resp"}) {
+    EXPECT_TRUE(names.count(required) > 0) << "missing " << required;
+  }
+}
+
 // End-to-end: after a real serving run the sched.* family (global ledger
 // and per-tenant counters) flows through both exports with identical name
 // sets.

@@ -1,4 +1,4 @@
-// TaskClient unit tests against a scripted RpcChannel: exactly which
+// TaskClient unit tests against a scripted RpcTransport: exactly which
 // requests go to which homes, how accesses split, and how the cache changes
 // the request stream.
 #include <deque>
@@ -10,40 +10,41 @@
 namespace dse {
 namespace {
 
-// Records every outbound call and answers from a script (or synthesizes
-// plausible replies).
-class MockRpc final : public RpcChannel {
+// Records every outbound message and answers each request at once, from a
+// script (or with a synthesized plausible reply).
+class MockRpc final : public RpcTransport {
  public:
   struct Sent {
     NodeId dst;
     proto::Envelope env;
   };
 
-  Result<proto::Envelope> Call(NodeId dst, proto::Body body,
-                               const CallPolicy& /*policy*/) override {
-    proto::Envelope env;
-    env.req_id = next_id_++;
-    env.src_node = 0;
-    env.body = std::move(body);
+  std::uint64_t NextReqId() override { return next_id_++; }
+  void Register(std::uint64_t, NodeId) override {}
+  void Unregister(std::uint64_t) override {}
+  Status Send(NodeId dst, const proto::Envelope& env) override {
     sent.push_back(Sent{dst, env});
-
+    if (env.req_id == 0) return Status::Ok();  // one-way post
+    proto::Envelope resp;
     if (!scripted.empty()) {
-      proto::Envelope resp = std::move(scripted.front());
+      resp = std::move(scripted.front());
       scripted.pop_front();
-      resp.req_id = env.req_id;
-      return resp;
+    } else {
+      resp = Synthesize(env);
     }
-    return Synthesize(env);
-  }
-
-  Status Post(NodeId dst, proto::Body body) override {
-    proto::Envelope env;
-    env.req_id = 0;
-    env.src_node = 0;
-    env.body = std::move(body);
-    sent.push_back(Sent{dst, std::move(env)});
+    resp.req_id = env.req_id;
+    inbox_.push_back(RpcArrival{env.req_id, std::move(resp)});
     return Status::Ok();
   }
+  std::int64_t NowNs() override { return 0; }
+  std::optional<RpcArrival> Await(std::int64_t) override {
+    if (inbox_.empty()) return std::nullopt;
+    RpcArrival arrival = std::move(inbox_.front());
+    inbox_.pop_front();
+    return arrival;
+  }
+  void Pause(int) override {}
+  void OnBounce(NodeId, const proto::RetryResp&) override {}
 
   std::vector<Sent> sent;
   std::deque<proto::Envelope> scripted;
@@ -95,6 +96,7 @@ class MockRpc final : public RpcChannel {
   }
 
   std::uint64_t next_id_ = 1;
+  std::deque<RpcArrival> inbox_;
 };
 
 KernelCore MakeCore(bool cache, NodeId self = 0, int nodes = 4) {

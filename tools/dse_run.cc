@@ -31,7 +31,6 @@
 //                            bus = the paper's shared CSMA/CD Ethernet,
 //                            switched = ideal per-port switch, fabric =
 //                            routed multi-hop fabric (docs/interconnect.md)
-//   --switched               deprecated alias for --medium switched
 //   --topology SPEC          fabric topology: ring:N | mesh:AxB | torus:AxB
 //                            | fattree:K | auto (default auto; requires
 //                            --medium fabric)
@@ -381,7 +380,7 @@ int main(int argc, char** argv) {
 
   std::vector<std::string> known = {
       "mode",  "platform", "procs",      "cache",     "legacy",
-      "switched", "trace", "machines",   "stats",     "stats-json",
+      "trace", "machines",   "stats",     "stats-json",
       "stats-csv", "ps",   "list-tasks", "help",      "batch",
       "prefetch", "write-combine", "fault-plan", "rpc-deadline-ms",
       "replication", "restart-tasks", "min-quorum", "rejoin", "rolling",
@@ -531,9 +530,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Interconnect medium (sim only): a validated enum, with the old boolean
-  // --switched kept as a deprecated alias.
-  std::string medium_name = flags.Str("medium", "bus");
+  // Interconnect medium (sim only): a validated enum.
+  const std::string medium_name = flags.Str("medium", "bus");
   if (flags.Has("medium") && medium_name != "bus" &&
       medium_name != "switched" && medium_name != "fabric") {
     std::fprintf(stderr, "--medium must be one of bus|switched|fabric "
@@ -541,19 +539,7 @@ int main(int argc, char** argv) {
                  medium_name.c_str());
     return 2;
   }
-  if (flags.Has("switched")) {
-    if (flags.Has("medium") && medium_name != "switched") {
-      std::fprintf(stderr,
-                   "--switched conflicts with --medium %s (drop the "
-                   "deprecated --switched)\n",
-                   medium_name.c_str());
-      return 2;
-    }
-    std::fprintf(stderr,
-                 "note: --switched is deprecated; use --medium switched\n");
-    medium_name = "switched";
-  }
-  const bool medium_flag_given = flags.Has("medium") || flags.Has("switched");
+  const bool medium_flag_given = flags.Has("medium");
 
   // Fabric knobs: strictly validated and refused outright when the medium
   // is not the fabric (a silently ignored topology is a lie about the run).
@@ -816,7 +802,7 @@ int main(int argc, char** argv) {
   if (mode == "threaded") {
     if (medium_flag_given || fabric_knob_given) {
       std::fprintf(stderr,
-                   "--medium/--switched and the fabric knobs model simulated "
+                   "--medium and the fabric knobs model simulated "
                    "interconnects; they require --mode sim (the threaded "
                    "runtime uses the real in-process fabric)\n");
       return 2;
