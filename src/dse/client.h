@@ -8,7 +8,9 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <utility>
@@ -202,6 +204,113 @@ class TaskClient {
   Counter* wc_flushes_;
   Counter* wc_flushed_spans_;
   Counter* task_restarts_;  // idempotent tasks re-spawned after eviction
+};
+
+// The Task every runtime hands to application code: identity, argument and
+// result, with every cluster operation forwarded to a TaskClient over the
+// task's own transport. A runtime supplies only the transport (which also
+// names the node, through its kernel) and Compute — the one call whose
+// meaning differs: real work already took real time on the threaded
+// runtime, the simulator charges virtual CPU time for it.
+class ClientTask final : public Task {
+ public:
+  ClientTask(std::unique_ptr<RpcTransport> transport, KernelCore* core,
+             Gpid gpid, std::vector<std::uint8_t> arg,
+             std::function<void(double work_units)> compute)
+      : transport_(std::move(transport)),
+        client_(transport_.get(), core),
+        core_(core),
+        gpid_(gpid),
+        arg_(std::move(arg)),
+        compute_(std::move(compute)) {}
+
+  NodeId node() const override { return core_->self(); }
+  Gpid gpid() const override { return gpid_; }
+  int num_nodes() const override { return core_->num_nodes(); }
+  const std::vector<std::uint8_t>& arg() const override { return arg_; }
+  void SetResult(std::vector<std::uint8_t> result) override {
+    result_ = std::move(result);
+  }
+  std::vector<std::uint8_t> TakeResult() { return std::move(result_); }
+
+  Result<gmm::GlobalAddr> AllocStriped(std::uint64_t size,
+                                       std::uint8_t block_log2) override {
+    return client_.AllocStriped(size, block_log2);
+  }
+  Result<gmm::GlobalAddr> AllocOnNode(std::uint64_t size,
+                                      NodeId home) override {
+    return client_.AllocOnNode(size, home);
+  }
+  Status Free(gmm::GlobalAddr addr) override { return client_.Free(addr); }
+  Status Read(gmm::GlobalAddr addr, void* out, std::uint64_t len) override {
+    return client_.Read(addr, out, len);
+  }
+  Status Write(gmm::GlobalAddr addr, const void* src,
+               std::uint64_t len) override {
+    return client_.Write(addr, src, len);
+  }
+  Result<std::int64_t> AtomicFetchAdd(gmm::GlobalAddr addr,
+                                      std::int64_t delta) override {
+    return client_.AtomicFetchAdd(addr, delta);
+  }
+  Result<std::int64_t> AtomicCompareExchange(gmm::GlobalAddr addr,
+                                             std::int64_t expected,
+                                             std::int64_t desired) override {
+    return client_.AtomicCompareExchange(addr, expected, desired);
+  }
+  Status Lock(std::uint64_t lock_id) override { return client_.Lock(lock_id); }
+  Status Unlock(std::uint64_t lock_id) override {
+    return client_.Unlock(lock_id);
+  }
+  Status Barrier(std::uint64_t barrier_id, int parties) override {
+    return client_.Barrier(barrier_id, parties);
+  }
+  Result<Gpid> Spawn(const std::string& task_name,
+                     std::vector<std::uint8_t> arg,
+                     NodeId node_hint) override {
+    return client_.Spawn(task_name, std::move(arg), node_hint);
+  }
+  Result<std::vector<std::uint8_t>> Join(Gpid gpid) override {
+    return client_.Join(gpid);
+  }
+  void Compute(double work_units) override { compute_(work_units); }
+  void Print(const std::string& text) override {
+    (void)client_.Print(gpid_, text);
+  }
+  Result<std::vector<proto::PsEntry>> ClusterPs() override {
+    return client_.ClusterPs();
+  }
+  Result<std::vector<MetricsSnapshot>> ClusterStats() override {
+    return client_.ClusterStats();
+  }
+  Status PublishName(const std::string& name, std::uint64_t value) override {
+    return client_.PublishName(name, value);
+  }
+  Result<std::uint64_t> LookupName(const std::string& name) override {
+    return client_.LookupName(name);
+  }
+  Result<std::uint64_t> SubmitJob(std::uint32_t tenant,
+                                  const std::string& task_name,
+                                  std::vector<std::uint8_t> arg,
+                                  std::uint32_t gang,
+                                  NodeId locality_hint) override {
+    return client_.SubmitJob(tenant, task_name, std::move(arg), gang,
+                             locality_hint);
+  }
+  Result<std::map<std::string, std::uint64_t>> SchedStat() override {
+    return client_.SchedStat();
+  }
+
+ private:
+  // Declared before client_: the client's destructor flushes combined
+  // writes through the transport.
+  std::unique_ptr<RpcTransport> transport_;
+  TaskClient client_;
+  KernelCore* core_;
+  Gpid gpid_;
+  std::vector<std::uint8_t> arg_;
+  std::vector<std::uint8_t> result_;
+  std::function<void(double)> compute_;
 };
 
 }  // namespace dse

@@ -109,7 +109,8 @@ inline std::uint64_t BlockBytesOf(GlobalAddr addr) {
 class HomeMap {
  public:
   HomeMap() = default;
-  explicit HomeMap(int num_nodes) : alive_(num_nodes, true) {}
+  explicit HomeMap(int num_nodes)
+      : alive_(num_nodes, true), admitted_at_(num_nodes, 0) {}
 
   std::uint32_t epoch() const { return epoch_; }
   int num_nodes() const { return static_cast<int>(alive_.size()); }
@@ -123,12 +124,16 @@ class HomeMap {
   }
 
   // Marks `node` dead and enters `new_epoch` (monotonic). Returns false if
-  // the node was already evicted (duplicate EvictReq).
+  // the node was already evicted (duplicate EvictReq), or if the eviction is
+  // no newer than the node's latest admission here — a delayed copy from
+  // before the rejoin must not evict a serving member without an epoch
+  // bump.
   bool Evict(NodeId node, std::uint32_t new_epoch) {
-    if (!IsAlive(node)) return false;
+    if (!IsAlive(node) || new_epoch <= admitted_at_[node]) return false;
     alive_[node] = false;
     if (new_epoch > epoch_) epoch_ = new_epoch;
     last_evicted_ = node;
+    if (last_admitted_ == node) last_admitted_ = -1;
     return true;
   }
 
@@ -141,7 +146,9 @@ class HomeMap {
     if (new_epoch <= epoch_) return false;
     alive_[node] = true;
     epoch_ = new_epoch;
+    admitted_at_[node] = new_epoch;
     if (last_evicted_ == node) last_evicted_ = -1;
+    last_admitted_ = node;
     return true;
   }
 
@@ -151,9 +158,12 @@ class HomeMap {
                    std::uint32_t new_epoch) {
     for (size_t i = 0; i < alive_.size() && i < alive.size(); ++i) {
       alive_[i] = alive[i] != 0;
+      // The view already reflects every change up to new_epoch.
+      if (alive_[i]) admitted_at_[i] = new_epoch;
     }
     epoch_ = new_epoch;
     last_evicted_ = -1;
+    last_admitted_ = -1;
   }
 
   std::vector<std::uint8_t> AliveBitmap() const {
@@ -202,11 +212,17 @@ class HomeMap {
   // Most recently evicted node (-1 if none) — piggybacked on RetryResp so a
   // lagging peer can repair its map without waiting for the broadcast.
   NodeId last_evicted() const { return last_evicted_; }
+  // Most recently re-admitted node still a member (-1 if none) — what the
+  // coordinator re-announces to a member that missed the admission.
+  NodeId last_admitted() const { return last_admitted_; }
 
  private:
   std::uint32_t epoch_ = 0;
   NodeId last_evicted_ = -1;
+  NodeId last_admitted_ = -1;
   std::vector<bool> alive_;
+  // Epoch of each node's latest admission (0: a member since boot).
+  std::vector<std::uint32_t> admitted_at_;
 };
 
 // One contiguous piece of an access that stays within a single home.

@@ -143,6 +143,16 @@ NodeId KernelCore::LastEvicted() const {
   return home_map_.last_evicted();
 }
 
+NodeId KernelCore::LastAdmitted() const {
+  std::lock_guard<std::mutex> lock(route_mu_);
+  return home_map_.last_admitted();
+}
+
+std::vector<std::uint8_t> KernelCore::AliveBitmap() const {
+  std::lock_guard<std::mutex> lock(route_mu_);
+  return home_map_.AliveBitmap();
+}
+
 KernelCore::Actions KernelCore::Handle(const proto::Envelope& env) {
   DSE_CHECK_MSG(!proto::IsClientResponse(env.type()),
                 "client response leaked into KernelCore::Handle");
@@ -150,13 +160,9 @@ KernelCore::Actions KernelCore::Handle(const proto::Envelope& env) {
 
   // Recovery protocol frames bypass dispatch entirely. With replication off
   // a stray one (mixed-configuration cluster) is dropped rather than fed to
-  // Dispatch's unhandled-type check.
+  // Dispatch's unhandled-type check. EvictReq never reaches the core: the
+  // runtime's membership agent consumes it (recovery/membership.h).
   switch (env.type()) {
-    case proto::MsgType::kEvictReq: {
-      if (!replication_on()) return Actions{};
-      const auto& e = std::get<proto::EvictReq>(env.body);
-      return ApplyEviction(e.node, e.epoch);
-    }
     case proto::MsgType::kReplicateReq: {
       Actions actions;
       if (replication_on()) HandleReplicate(env, &actions);
@@ -434,11 +440,6 @@ KernelCore::Actions KernelCore::Dispatch(const proto::Envelope& env) {
 
     case proto::MsgType::kShutdown:
       actions.shutdown = true;
-      break;
-
-    case proto::MsgType::kHeartbeat:
-      // Liveness probes are consumed at the host service layer; tolerate one
-      // that reaches the kernel (e.g. the simulator's single inbound path).
       break;
 
     default:
@@ -1006,7 +1007,13 @@ int KernelCore::QuorumRequired() const {
 
 void KernelCore::NoteQuorumPark() { quorum_parks_->Add(); }
 
-void KernelCore::ResetForRejoin() {
+KernelCore::Actions KernelCore::ResetForRejoin() {
+  Actions bounced;
+  for (const auto& [src, req_id] : in_progress_) {
+    proto::Envelope req;
+    req.req_id = req_id;
+    bounced.out.push_back(Outgoing{src, MakeRetryResp(req)});
+  }
   home_ = gmm::GmmHome(self_, num_nodes_, options_.read_cache);
   processes_ = pm::ProcessTable(self_);
   shadows_.clear();
@@ -1028,6 +1035,7 @@ void KernelCore::ResetForRejoin() {
     cache_.clear();
   }
   own_home_pending_ = true;
+  return bounced;
 }
 
 void KernelCore::StartTransfer(NodeId primary, NodeId target, bool demote,
@@ -1118,10 +1126,12 @@ KernelCore::Actions KernelCore::TickTransfers() {
   for (const DeferredTransfer& d : ready) {
     StartTransfer(d.primary, d.target, d.demote, &actions, d.drain);
   }
-  // Resend the in-flight chunk of every active transfer (lost chunk or lost
-  // ack: receivers re-ack duplicates, so this is idempotent).
-  for (const auto& [primary, xfer] : xfer_out_) {
-    SendChunk(primary, &actions);
+  // Resend the in-flight chunk of every transfer that sat unacked for a
+  // whole tick (lost chunk or lost ack: receivers re-ack duplicates, so this
+  // is idempotent).
+  for (auto& [primary, xfer] : xfer_out_) {
+    if (xfer.stalled) SendChunk(primary, &actions);
+    xfer.stalled = true;
   }
   // Draining, fully handed off, and hosting no resident tasks: report
   // cutover readiness to the coordinator. Re-sent every tick (the one-way
@@ -1526,6 +1536,7 @@ void KernelCore::HandleStateChunkAck(const proto::Envelope& env,
   OutgoingTransfer& xfer = it->second;
   if (env.src_node != xfer.target || ack.index != xfer.next) return;
   xfer.next += 1;
+  xfer.stalled = false;
   if (xfer.next < xfer.total) {
     SendChunk(ack.primary, actions);
     return;
@@ -1646,6 +1657,19 @@ void KernelCore::CacheInsert(gmm::GlobalAddr block_base,
   cache_[block_base] = std::move(data);
 }
 
+void KernelCore::FillCacheFrom(const proto::Envelope& env) {
+  if (const auto* rr = std::get_if<proto::ReadResp>(&env.body)) {
+    if (rr->block_fetch && env.epoch == epoch()) {
+      CacheInsert(rr->addr, rr->data);
+    }
+  } else if (const auto* br = std::get_if<proto::BatchResp>(&env.body)) {
+    if (env.epoch != epoch()) return;
+    for (const proto::BatchItemResp& item : br->items) {
+      if (item.block_fetch) CacheInsert(item.addr, item.data);
+    }
+  }
+}
+
 bool KernelCore::CacheLookup(gmm::GlobalAddr addr, std::uint64_t len,
                              void* out) {
   const gmm::GlobalAddr base = gmm::BlockBaseOf(addr);
@@ -1702,6 +1726,7 @@ MetricsSnapshot KernelCore::StatsSnapshot() const {
   put("dsm.cache_invalidated", stats_.cache_invalidated);
   put("ssi.names_published", ssi_.name_count());
   put("recovery.draining_nodes", draining_.size());
+  put("recovery.epoch", epoch());  // membership epoch (a gauge)
 
   // Home-side GMM counters; a promoted shadow's activity counts toward the
   // node serving it.

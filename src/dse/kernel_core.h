@@ -12,9 +12,9 @@
 // inbound server-side messages into Handle() and carry out the returned
 // Actions (sends, local task starts, console lines, shutdown). Client
 // *responses* never reach the core — backends route them straight to the
-// blocked task — with one exception: block-fetch ReadResps pass through
-// CacheInsert() on the service path so cache updates stay ordered with
-// invalidations.
+// blocked task — with one exception: every response passes through
+// FillCacheFrom() on the service path so block-fetch cache fills stay
+// ordered with invalidations.
 //
 // Observability: the core owns the node's MetricsRegistry. Backends count
 // per-type message traffic via CountSent/CountRecv and wire bytes via
@@ -178,9 +178,11 @@ class KernelCore {
   bool NodeAlive(NodeId node) const;
   NodeId CoordinatorView() const;
   NodeId LastEvicted() const;
+  NodeId LastAdmitted() const;
+  std::vector<std::uint8_t> AliveBitmap() const;
 
-  // Applies an eviction locally (coordinator self-apply and push-repair
-  // paths; EvictReq frames funnel here too). Caller serializes like Handle.
+  // Applies an eviction locally — the membership agent's one eviction path
+  // (recovery/membership.h). Caller serializes like Handle.
   // Returns the follow-up actions (lock grants, barrier releases, replies
   // un-gated because their backup died, state-transfer kickoffs that
   // restore f = 1). No-op if already evicted.
@@ -198,17 +200,23 @@ class KernelCore {
   // the cluster moved on from — home, shadows, promotions, caches, dedupe
   // and replication ledgers — and marks the node's own home pending until a
   // state-transfer hands it back. Requests for the home bounce (RetryResp)
-  // in between. The caller then sends NodeJoinReq to the coordinator.
-  void ResetForRejoin();
+  // in between. Returns a RetryResp for every request accepted but not yet
+  // answered (a reply gated on a replication record the new epoch fenced,
+  // or deferred behind an invalidation round): the wipe drops those
+  // replies, so their callers must re-route now rather than wait out a
+  // deadline — or, on a lossless simulated wire, wait forever. The caller
+  // then sends NodeJoinReq to the coordinator.
+  Actions ResetForRejoin();
   bool own_home_pending() const { return own_home_pending_; }
 
-  // Retransmission tick for in-flight state transfers: resends the current
-  // unacked chunk of every outgoing transfer and retries deferred transfer
+  // Retransmission tick for in-flight state transfers (the membership
+  // agent's tick): resends the current chunk of every outgoing transfer no
+  // ack advanced since the previous tick, and retries deferred transfer
   // starts (a serving home with an invalidation round in flight cannot
   // snapshot). Idempotent — receivers re-ack duplicate chunks.
   Actions TickTransfers();
   // True when no outgoing state transfer is in flight or deferred (the sim's
-  // retransmission nudge uses this to know when to stop ticking).
+  // rolling-restart driver waits for this between cycles).
   bool transfers_idle() const {
     return xfer_out_.empty() && xfer_deferred_.empty();
   }
@@ -240,6 +248,14 @@ class KernelCore {
 
   // Service-path insert of a fetched block.
   void CacheInsert(gmm::GlobalAddr block_base, std::vector<std::uint8_t> data);
+  // Service-path cache fill from a client response, before the waiting task
+  // sees it: inserts the block-fetch items of a ReadResp/BatchResp stamped
+  // with the current epoch. A response served under an older membership
+  // (before a failover, or replayed from a shadow's ledger after promotion)
+  // still answers its call, but its block is not cached: the promoted
+  // home's copyset does not track that copy, so no future write could ever
+  // invalidate it.
+  void FillCacheFrom(const proto::Envelope& env);
   // Task-path lookup; fills [addr, addr+len) from a cached block if present.
   bool CacheLookup(gmm::GlobalAddr addr, std::uint64_t len, void* out);
   // Task-path local update after an acked write (write-update for self).
@@ -474,6 +490,9 @@ class KernelCore {
     std::uint32_t total = 0;
     bool demote = false;      // rejoin handoff: keep the state as a shadow
     bool drain = false;       // planned drain handoff (recovery.handoff.*)
+    // No ack advanced the transfer since the last tick: the next tick
+    // retransmits its chunk (a chunk sent just before a tick is not).
+    bool stalled = false;
   };
   std::map<NodeId, OutgoingTransfer> xfer_out_;
   // Transfer starts deferred behind an in-flight invalidation round.

@@ -74,107 +74,14 @@ class HostRpc final : public RpcTransport {
       std::make_shared<NodeHost::Mailbox>();
 };
 
-// Task implementation handed to application code.
-class HostTask final : public Task {
- public:
-  HostTask(NodeHost* host, Gpid gpid, std::vector<std::uint8_t> arg)
-      : host_(host),
-        gpid_(gpid),
-        arg_(std::move(arg)),
-        rpc_(host),
-        client_(&rpc_, &host->core()) {}
+// The Task handed to application code on this backend: Compute is a no-op
+// (real work already took real time).
+ClientTask MakeHostTask(NodeHost* host, Gpid gpid,
+                        std::vector<std::uint8_t> arg) {
+  return ClientTask(std::make_unique<HostRpc>(host), &host->core(), gpid,
+                    std::move(arg), [](double /*work_units*/) {});
+}
 
-  NodeId node() const override { return host_->self(); }
-  Gpid gpid() const override { return gpid_; }
-  int num_nodes() const override { return host_->core().num_nodes(); }
-  const std::vector<std::uint8_t>& arg() const override { return arg_; }
-  void SetResult(std::vector<std::uint8_t> result) override {
-    result_ = std::move(result);
-  }
-  std::vector<std::uint8_t> TakeResult() { return std::move(result_); }
-
-  Result<gmm::GlobalAddr> AllocStriped(std::uint64_t size,
-                                       std::uint8_t block_log2) override {
-    return client_.AllocStriped(size, block_log2);
-  }
-  Result<gmm::GlobalAddr> AllocOnNode(std::uint64_t size,
-                                      NodeId home) override {
-    return client_.AllocOnNode(size, home);
-  }
-  Status Free(gmm::GlobalAddr addr) override { return client_.Free(addr); }
-  Status Read(gmm::GlobalAddr addr, void* out, std::uint64_t len) override {
-    return client_.Read(addr, out, len);
-  }
-  Status Write(gmm::GlobalAddr addr, const void* src,
-               std::uint64_t len) override {
-    return client_.Write(addr, src, len);
-  }
-  Result<std::int64_t> AtomicFetchAdd(gmm::GlobalAddr addr,
-                                      std::int64_t delta) override {
-    return client_.AtomicFetchAdd(addr, delta);
-  }
-  Result<std::int64_t> AtomicCompareExchange(gmm::GlobalAddr addr,
-                                             std::int64_t expected,
-                                             std::int64_t desired) override {
-    return client_.AtomicCompareExchange(addr, expected, desired);
-  }
-  Status Lock(std::uint64_t lock_id) override { return client_.Lock(lock_id); }
-  Status Unlock(std::uint64_t lock_id) override {
-    return client_.Unlock(lock_id);
-  }
-  Status Barrier(std::uint64_t barrier_id, int parties) override {
-    return client_.Barrier(barrier_id, parties);
-  }
-  Result<Gpid> Spawn(const std::string& task_name,
-                     std::vector<std::uint8_t> arg,
-                     NodeId node_hint) override {
-    return client_.Spawn(task_name, std::move(arg), node_hint);
-  }
-  Result<std::vector<std::uint8_t>> Join(Gpid gpid) override {
-    return client_.Join(gpid);
-  }
-  void Compute(double work_units) override {
-    (void)work_units;  // real work already took real time on this backend
-  }
-  void Print(const std::string& text) override {
-    (void)client_.Print(gpid_, text);
-  }
-  Result<std::vector<proto::PsEntry>> ClusterPs() override {
-    return client_.ClusterPs();
-  }
-  Result<std::vector<MetricsSnapshot>> ClusterStats() override {
-    return client_.ClusterStats();
-  }
-  Status PublishName(const std::string& name, std::uint64_t value) override {
-    return client_.PublishName(name, value);
-  }
-  Result<std::uint64_t> LookupName(const std::string& name) override {
-    return client_.LookupName(name);
-  }
-  Result<std::uint64_t> SubmitJob(std::uint32_t tenant,
-                                  const std::string& task_name,
-                                  std::vector<std::uint8_t> arg,
-                                  std::uint32_t gang,
-                                  NodeId locality_hint) override {
-    return client_.SubmitJob(tenant, task_name, std::move(arg), gang,
-                             locality_hint);
-  }
-  Result<std::map<std::string, std::uint64_t>> SchedStat() override {
-    return client_.SchedStat();
-  }
-
- private:
-  NodeHost* host_;
-  Gpid gpid_;
-  std::vector<std::uint8_t> arg_;
-  std::vector<std::uint8_t> result_;
-  HostRpc rpc_;
-  TaskClient client_;
-};
-
-}  // namespace
-
-namespace {
 
 KernelOptions MakeKernelOptions(const NodeHost::Options& options,
                                 TaskRegistry* registry,
@@ -227,11 +134,29 @@ NodeHost::NodeHost(net::Endpoint* endpoint, int num_nodes, Options options)
       options_(std::move(options)),
       core_(endpoint->self(), num_nodes,
             MakeKernelOptions(options_, options_.registry, endpoint)),
-      last_heard_ms_(static_cast<size_t>(num_nodes)),
-      peer_dead_(static_cast<size_t>(num_nodes)),
-      drain_initiated_(static_cast<size_t>(num_nodes)) {
+      membership_(&core_,
+                  recovery::MembershipAgent::Options{
+                      .silent =
+                          [this](NodeId peer, std::int64_t now_ms) {
+                            return Silent(peer, now_ms);
+                          },
+                      .core_mu = &core_mu_,
+                      .on_suspect =
+                          [this](NodeId peer) {
+                            FailPendingTo(peer,
+                                          Unavailable(
+                                              "node " + std::to_string(peer) +
+                                              " declared dead"));
+                          },
+                      .on_clear =
+                          [this](NodeId peer) {
+                            last_heard_ms_[static_cast<size_t>(peer)].store(
+                                NowMs(), std::memory_order_relaxed);
+                          },
+                      .drain_requested = options_.drain_requested,
+                  }),
+      last_heard_ms_(static_cast<size_t>(num_nodes)) {
   DSE_CHECK(options_.registry != nullptr);
-  nodes_dead_ = core_.metrics().counter("node.dead");
 }
 
 NodeHost::~NodeHost() {
@@ -276,9 +201,6 @@ void NodeHost::Start() {
 
 void NodeHost::HeartbeatLoop() {
   const int period_ms = options_.heartbeat_period_ms;
-  const int timeout_ms = options_.heartbeat_timeout_ms > 0
-                             ? options_.heartbeat_timeout_ms
-                             : 5 * period_ms;
   std::int64_t last_tick = NowMs();
   for (;;) {
     {
@@ -302,221 +224,48 @@ void NodeHost::HeartbeatLoop() {
     last_tick = now;
     if (excess > 0) {
       for (NodeId n = 0; n < core_.num_nodes(); ++n) {
-        const auto i = static_cast<size_t>(n);
-        if (n == self() || peer_dead_[i].load(std::memory_order_relaxed)) {
-          continue;
-        }
-        last_heard_ms_[i].fetch_add(excess, std::memory_order_relaxed);
+        if (n == self() || membership_.Suspected(n)) continue;
+        last_heard_ms_[static_cast<size_t>(n)].fetch_add(
+            excess, std::memory_order_relaxed);
       }
     }
-    // Two passes: latch every peer that timed out this tick *before* acting
-    // on any of them. A partition severs several links at once; evicting
-    // the first silent peer while the others still look reachable would
-    // let a minority side pass the quorum check it should fail.
-    std::vector<NodeId> newly_silent;
-    for (NodeId n = 0; n < core_.num_nodes(); ++n) {
-      const auto i = static_cast<size_t>(n);
-      if (n == self() ||
-          peer_dead_[i].load(std::memory_order_relaxed)) {
-        continue;
-      }
-      if (now - last_heard_ms_[i].load(std::memory_order_relaxed) >
-          timeout_ms) {
-        if (options_.silence_confirms && !options_.silence_confirms(n)) {
-          // The oracle says the peer is neither killed nor severed: the
-          // silence is scheduler starvation, not death. Reset its clock —
-          // the timeout re-arms and fires for real once the injector
-          // actually takes the peer down.
-          last_heard_ms_[i].store(now, std::memory_order_relaxed);
-          continue;
-        }
-        LatchPeerDead(n, "heartbeat timeout");
-        newly_silent.push_back(n);
-      }
-    }
-    for (const NodeId n : newly_silent) {
-      EvictPeer(n, 0, "heartbeat timeout");
-    }
+    Perform(membership_.Tick(now));
     for (NodeId n = 0; n < core_.num_nodes(); ++n) {
       if (n == self()) continue;
-      if (peer_dead_[static_cast<size_t>(n)].load(
-              std::memory_order_relaxed)) {
-        // Keep probing a suspected peer that is still a member (we may be
-        // quorum-parked on the minority side of a partition): when the
-        // partition heals, the probes revoke the suspicion on both sides.
-        if (!core_.replication_on() || !core_.NodeAlive(n)) continue;
+      // Keep probing a suspected peer that is still a member (we may be
+      // quorum-parked on the minority side of a partition): when the
+      // partition heals, the probes revoke the suspicion on both sides.
+      if (membership_.Suspected(n) &&
+          (!core_.replication_on() || !core_.NodeAlive(n))) {
+        continue;
       }
       proto::Envelope probe;
       probe.req_id = 0;
       probe.src_node = self();
+      probe.epoch = core_.epoch();  // reports our view to the coordinator
       probe.body = proto::Heartbeat{};
       (void)SendEnvelope(n, probe);  // a lost probe is just a silent period
     }
-    // Replication: the coordinator re-announces evictions every tick, so a
-    // survivor whose EvictReq frame was lost converges without waiting for
-    // its own heartbeat timeout. With rejoin on, the eviction is announced
-    // to the evicted node itself too — a restarted/healed node learns it
-    // was evicted and initiates NodeJoinReq from that signal.
-    if (core_.replication_on() && core_.CoordinatorView() == self()) {
-      for (NodeId d = 0; d < core_.num_nodes(); ++d) {
-        if (core_.NodeAlive(d)) continue;
-        for (NodeId n = 0; n < core_.num_nodes(); ++n) {
-          if (n == self()) continue;
-          const bool alive = core_.NodeAlive(n);
-          if (!alive && !(options_.rejoin && n == d)) continue;
-          proto::Envelope ev;
-          ev.req_id = 0;
-          ev.src_node = self();
-          ev.epoch = core_.epoch();
-          ev.body = proto::EvictReq{d, core_.epoch()};
-          (void)SendEnvelope(n, ev);
-        }
-      }
-    }
-    // Planned drain duties (coordinator): fire drain triggers from the
-    // harness oracle, and once a draining peer reports cutover-ready (and
-    // the scheduler here, if any, has no member left on it), evict it under
-    // a bumped epoch — the lossless, planned eviction. The evicted node
-    // rejoins via the re-announce path above.
-    if (core_.replication_on() && core_.CoordinatorView() == self()) {
-      for (NodeId d = 0; d < core_.num_nodes(); ++d) {
-        if (d == self() || !core_.NodeAlive(d)) continue;
-        bool draining = false;
-        bool ready = false;
-        {
-          std::lock_guard<std::mutex> lock(core_mu_);
-          draining = core_.NodeDraining(d);
-          ready = core_.DrainCutoverReady(d);
-        }
-        if (ready) {
-          EvictPeer(d, core_.epoch() + 1, "drain cutover");
-        } else if (!draining && options_.drain_requested &&
-                   options_.drain_requested(d) &&
-                   !drain_initiated_[static_cast<size_t>(d)].exchange(
-                       true, std::memory_order_relaxed)) {
-          AdminDrain(d);
-        }
-      }
-    }
-    // Self-healing: retransmission tick for in-flight state transfers.
-    if (core_.replication_on()) {
-      KernelCore::Actions actions;
-      {
-        std::lock_guard<std::mutex> lock(core_mu_);
-        actions = core_.TickTransfers();
-      }
-      Perform(std::move(actions));
-    }
   }
 }
 
-void NodeHost::AdminDrain(NodeId node) {
-  if (!core_.replication_on()) return;
-  if (node < 0 || node >= core_.num_nodes() || !core_.NodeAlive(node)) return;
-  proto::Envelope env;
-  env.req_id = 0;
-  env.src_node = self();
-  env.epoch = core_.epoch();
-  env.body = proto::DrainReq{node, core_.epoch()};
-  // Apply locally first (marks the node draining; the scheduler here stops
-  // placing on it), then broadcast so every member — the target included —
-  // converges on the same view.
-  KernelCore::Actions actions;
-  {
-    std::lock_guard<std::mutex> lock(core_mu_);
-    actions = core_.Handle(env);
+bool NodeHost::Silent(NodeId peer, std::int64_t now_ms) {
+  const int timeout_ms = options_.heartbeat_timeout_ms > 0
+                             ? options_.heartbeat_timeout_ms
+                             : 5 * options_.heartbeat_period_ms;
+  auto& heard = last_heard_ms_[static_cast<size_t>(peer)];
+  if (now_ms - heard.load(std::memory_order_relaxed) <= timeout_ms) {
+    return false;
   }
-  Perform(std::move(actions));
-  for (NodeId n = 0; n < core_.num_nodes(); ++n) {
-    if (n == self() || !core_.NodeAlive(n)) continue;
-    (void)SendEnvelope(n, env);
+  if (options_.silence_confirms && !options_.silence_confirms(peer)) {
+    // The oracle says the peer is neither killed nor severed: the silence
+    // is scheduler starvation, not death. Reset its clock — the timeout
+    // re-arms and fires for real once the injector actually takes the
+    // peer down.
+    heard.store(now_ms, std::memory_order_relaxed);
+    return false;
   }
-}
-
-bool NodeHost::PeerDead(NodeId node) const {
-  if (node < 0 || node >= core_.num_nodes()) return false;
-  return peer_dead_[static_cast<size_t>(node)].load(
-      std::memory_order_relaxed);
-}
-
-void NodeHost::LatchPeerDead(NodeId node, const char* why) {
-  if (node < 0 || node >= core_.num_nodes() || node == self()) return;
-  if (!peer_dead_[static_cast<size_t>(node)].exchange(
-          true, std::memory_order_relaxed)) {
-    nodes_dead_->Add();
-    DSE_LOG(kWarn) << "node " << self() << ": declaring node " << node
-                   << " dead (" << why << ")";
-    FailPendingTo(node, Unavailable("node " + std::to_string(node) +
-                                    " declared dead (" + why + ")"));
-  }
-}
-
-void NodeHost::EvictPeer(NodeId node, std::uint32_t epoch, const char* why) {
-  if (node < 0 || node >= core_.num_nodes() || node == self()) return;
-  LatchPeerDead(node, why);
-  if (!core_.replication_on() || !core_.NodeAlive(node)) return;
-  // Quorum guard: a locally detected eviction (no epoch from a peer backing
-  // it) needs a reachable strict majority (or --min-quorum), counting every
-  // current member we do not suspect, ourselves included. Below the bar we
-  // park: the suspicion stays latched, calls fail over and retry, and no
-  // membership change happens until the partition heals or a quorum-held
-  // eviction reaches us by gossip.
-  if (epoch == 0) {
-    int reachable = 0;
-    for (NodeId n = 0; n < core_.num_nodes(); ++n) {
-      if (!core_.NodeAlive(n)) continue;
-      if (n != self() && PeerDead(n)) continue;
-      ++reachable;
-    }
-    if (reachable < core_.QuorumRequired()) {
-      if (!parked_.exchange(true, std::memory_order_relaxed)) {
-        core_.NoteQuorumPark();
-        DSE_LOG(kWarn) << "node " << self() << ": quorum park — only "
-                       << reachable << " member(s) reachable, need "
-                       << core_.QuorumRequired();
-      }
-      return;
-    }
-    parked_.store(false, std::memory_order_relaxed);
-  }
-  const std::uint32_t new_epoch = epoch != 0 ? epoch : core_.epoch() + 1;
-  KernelCore::Actions actions;
-  {
-    std::lock_guard<std::mutex> lock(core_mu_);
-    actions = core_.ApplyEviction(node, new_epoch);
-  }
-  Perform(std::move(actions));
-  // The coordinator announces the eviction; everyone else has applied it
-  // locally (own detection or a received EvictReq) and stays quiet.
-  if (core_.CoordinatorView() == self()) {
-    for (NodeId n = 0; n < core_.num_nodes(); ++n) {
-      if (n == self() || !core_.NodeAlive(n)) continue;
-      proto::Envelope ev;
-      ev.req_id = 0;
-      ev.src_node = self();
-      ev.epoch = core_.epoch();
-      ev.body = proto::EvictReq{node, new_epoch};
-      (void)SendEnvelope(n, ev);
-    }
-  }
-}
-
-void NodeHost::HandleRetrySignal(NodeId responder,
-                                 const proto::RetryResp& rr) {
-  const std::uint32_t local = core_.epoch();
-  if (rr.epoch > local && rr.evicted >= 0) {
-    // The responder is ahead: adopt its eviction without waiting for our
-    // own heartbeat timeout or the coordinator's broadcast.
-    EvictPeer(rr.evicted, rr.epoch, "epoch gossip");
-  } else if (rr.epoch < local) {
-    // The responder lags (it missed the EvictReq): push-repair it.
-    proto::Envelope ev;
-    ev.req_id = 0;
-    ev.src_node = self();
-    ev.epoch = local;
-    ev.body = proto::EvictReq{core_.LastEvicted(), local};
-    (void)SendEnvelope(responder, ev);
-  }
+  return true;
 }
 
 std::uint64_t NodeHost::NextReqId() {
@@ -569,7 +318,7 @@ std::vector<std::uint8_t> NodeHost::RunLocalTask(
   }
   std::vector<std::uint8_t> result;
   {
-    HostTask task(this, gpid, std::move(arg));
+    ClientTask task = MakeHostTask(this, gpid, std::move(arg));
     options_.registry->Get(name)(task);
     result = task.TakeResult();
   }
@@ -619,7 +368,7 @@ Status NodeHost::SendEnvelope(NodeId dst, const proto::Envelope& env) {
   // and recovery frames that have to flow *toward* a suspected or evicted
   // peer for the cluster to heal: shutdown teardown, liveness probes, the
   // rejoin-triggering re-announce, the join protocol and state transfers.
-  if (PeerDead(dst)) {
+  if (membership_.Suspected(dst)) {
     switch (env.type()) {
       case proto::MsgType::kShutdown:
       case proto::MsgType::kHeartbeat:
@@ -685,7 +434,7 @@ void NodeHost::StartTaskThread(KernelCore::StartTask st) {
 void NodeHost::RunTask(KernelCore::StartTask st) {
   std::vector<std::uint8_t> result;
   {
-    HostTask task(this, st.gpid, std::move(st.arg));
+    ClientTask task = MakeHostTask(this, st.gpid, std::move(st.arg));
     // Spawn validation runs before a StartTask is emitted, so a missing
     // entry here means the registry changed underneath us; degrade to an
     // empty result instead of killing the node.
@@ -715,88 +464,21 @@ void NodeHost::ServiceLoop() {
     core_.CountRecv(env.type());
     core_.CountWireRecv(delivery->payload.size());
 
-    // Any frame proves its sender alive. With replication, it also revokes
-    // a suspicion of a peer that is still a member — a quorum-parked side
-    // of a partition resumes this way when the partition heals (a truly
-    // evicted node stays latched; it must rejoin through the coordinator).
+    // Any frame proves its sender alive (the detector's clock, lock-free);
+    // the membership agent revokes suspicions and consumes its own frames.
     if (env.src_node >= 0 && env.src_node < core_.num_nodes()) {
-      const auto si = static_cast<size_t>(env.src_node);
-      last_heard_ms_[si].store(NowMs(), std::memory_order_relaxed);
-      if (core_.replication_on() && env.src_node != self() &&
-          peer_dead_[si].load(std::memory_order_relaxed) &&
-          core_.NodeAlive(env.src_node)) {
-        peer_dead_[si].store(false, std::memory_order_relaxed);
-        parked_.store(false, std::memory_order_relaxed);
-        DSE_LOG(kWarn) << "node " << self() << ": suspicion of node "
-                       << env.src_node << " revoked (frame received)";
-      }
+      last_heard_ms_[static_cast<size_t>(env.src_node)].store(
+          NowMs(), std::memory_order_relaxed);
     }
-    if (env.type() == proto::MsgType::kHeartbeat) continue;
-
-    if (env.type() == proto::MsgType::kEvictReq) {
-      const auto& e = std::get<proto::EvictReq>(env.body);
-      if (e.node == self() && core_.replication_on() && options_.rejoin) {
-        // The cluster evicted *us* (we were partitioned away or presumed
-        // dead): wipe the kernel state the cluster has moved past and ask
-        // the announcer (the coordinator) for re-admission. Guarded so the
-        // per-tick re-announce only re-sends the join request.
-        if (!joining_.exchange(true, std::memory_order_relaxed)) {
-          std::lock_guard<std::mutex> lock(core_mu_);
-          core_.ResetForRejoin();
-        }
-        proto::Envelope jr;
-        jr.req_id = 0;
-        jr.src_node = self();
-        jr.body = proto::NodeJoinReq{self()};
-        (void)SendEnvelope(env.src_node, jr);
-        continue;
-      }
-      // Handled at the host layer so the peer-dead latch, pending-call
-      // sweep and coordinator re-announce all happen with the membership
-      // change. (EvictPeer funnels into core().ApplyEviction.)
-      EvictPeer(e.node, e.epoch, "evicted by coordinator");
+    if (KernelCore::Actions consumed; membership_.OnFrame(env, &consumed)) {
+      Perform(std::move(consumed));
       continue;
-    }
-
-    if (const auto* jr = std::get_if<proto::NodeJoinResp>(&env.body)) {
-      // Host-level view of an admission (the kernel handles the membership
-      // change below): clear the liveness latches the rejoin obsoletes.
-      if (jr->node == self()) {
-        joining_.store(false, std::memory_order_relaxed);
-        parked_.store(false, std::memory_order_relaxed);
-        const std::int64_t now = NowMs();
-        for (size_t i = 0; i < jr->alive.size() &&
-                           i < peer_dead_.size(); ++i) {
-          if (jr->alive[i] != 0) {
-            peer_dead_[i].store(false, std::memory_order_relaxed);
-            last_heard_ms_[i].store(now, std::memory_order_relaxed);
-          }
-        }
-      } else if (jr->node >= 0 && jr->node < core_.num_nodes()) {
-        peer_dead_[static_cast<size_t>(jr->node)].store(
-            false, std::memory_order_relaxed);
-        last_heard_ms_[static_cast<size_t>(jr->node)].store(
-            NowMs(), std::memory_order_relaxed);
-      }
     }
 
     if (proto::IsClientResponse(env.type())) {
       // Cache fills happen on this ordered path before the waiting task can
-      // observe the response — see kernel_core.h. A response stamped with an
-      // older membership epoch (served before a failover, or replayed from a
-      // shadow ledger after promotion) still answers the call, but its block
-      // is not cached: the promoted home's copyset does not track that copy,
-      // so no future write could ever invalidate it.
-      if (env.epoch == core_.epoch()) {
-        if (auto* rr = std::get_if<proto::ReadResp>(&env.body);
-            rr != nullptr && rr->block_fetch) {
-          core_.CacheInsert(rr->addr, rr->data);
-        } else if (auto* br = std::get_if<proto::BatchResp>(&env.body)) {
-          for (const proto::BatchItemResp& item : br->items) {
-            if (item.block_fetch) core_.CacheInsert(item.addr, item.data);
-          }
-        }
-      }
+      // observe the response — see kernel_core.h.
+      core_.FillCacheFrom(env);
       std::shared_ptr<Mailbox> box;
       {
         std::lock_guard<std::mutex> lock(pending_mu_);

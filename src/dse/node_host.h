@@ -23,6 +23,7 @@
 
 #include "dse/client.h"
 #include "dse/kernel_core.h"
+#include "dse/recovery/membership.h"
 #include "dse/registry.h"
 #include "dse/rpc_engine.h"
 #include "dse/task.h"
@@ -125,16 +126,12 @@ class NodeHost {
   // Sends a Shutdown control message to every node (SSI teardown).
   void BroadcastShutdown();
 
-  // True once the liveness prober declared `node` dead.
-  bool PeerDead(NodeId node) const;
-
-  // Planned drain admin verb (docs/recovery.md): broadcasts DrainReq{node}
-  // to every live member (the target included) and applies it locally. The
-  // drained node hands its homes off to its backup while still serving; the
-  // coordinator's heartbeat tick evicts it once the handoff completes and
-  // the scheduler is quiesced, and the node then rejoins on the normal
-  // re-announce path. No-op with replication off or for a dead/invalid node.
-  void AdminDrain(NodeId node);
+  // Planned drain admin verb (docs/recovery.md, MembershipAgent::
+  // AdminDrain): the drained node hands its homes off to its backup while
+  // still serving; the coordinator's heartbeat tick evicts it once the
+  // handoff completes and the scheduler is quiesced, and the node then
+  // rejoins on the normal re-announce path.
+  void AdminDrain(NodeId node) { Perform(membership_.AdminDrain(node)); }
   // True while `node` is marked draining in this host's kernel view.
   bool NodeDraining(NodeId node) {
     std::lock_guard<std::mutex> lock(core_mu_);
@@ -167,12 +164,13 @@ class NodeHost {
   // Encodes, counts (per-type + wire bytes) and sends. The single outbound
   // choke point — all kernel and client traffic flows through here so the
   // metrics registry sees every message exactly once. Fails fast with
-  // kUnavailable on peers declared dead (Shutdown excepted).
+  // kUnavailable on peers suspected dead (recovery frames excepted).
   Status SendEnvelope(NodeId dst, const proto::Envelope& env);
-  // Client-side reaction to a kRetryResp epoch bounce: adopt the
-  // responder's eviction if it is ahead, push-repair it with an EvictReq if
-  // it lags.
-  void HandleRetrySignal(NodeId responder, const proto::RetryResp& rr);
+  // Client-side reaction to a kRetryResp epoch bounce (the membership
+  // agent reconciles the two views).
+  void HandleRetrySignal(NodeId responder, const proto::RetryResp& rr) {
+    Perform(membership_.OnBounce(responder, rr));
+  }
   void FinishLocalTask(Gpid gpid, std::vector<std::uint8_t> result);
 
  private:
@@ -190,23 +188,10 @@ class NodeHost {
   void FailAllPending(const Status& error);
   // Delivers `error` to every pending call addressed to `dst`.
   void FailPendingTo(NodeId dst, const Status& error);
-  // Latches `node` suspected-dead and fails its in-flight calls (no
-  // membership change yet). Safe to call repeatedly.
-  void LatchPeerDead(NodeId node, const char* why);
-  // Recovery: latches `node` dead, fails its in-flight calls, applies the
-  // membership eviction at `epoch` (0 = this host's next epoch), and — when
-  // this host is the coordinator (lowest live rank in its own view) —
-  // broadcasts the EvictReq to the survivors. Coordinator succession is
-  // implicit: when the old coordinator is the dead node, the next-lowest
-  // live rank sees itself as coordinator and speaks.
-  //
-  // Quorum guard (self-healing membership): a *locally detected* eviction
-  // (epoch == 0) is only applied while this host can still reach at least
-  // QuorumRequired() members — otherwise it parks (suspicion stays latched,
-  // calls fail over and wait, recovery.quorum_parks counts the episode) so
-  // a severed minority never forks the membership. Evictions carried by
-  // EvictReq/RetryResp gossip (epoch != 0) apply unconditionally.
-  void EvictPeer(NodeId node, std::uint32_t epoch, const char* why);
+  // The heartbeat failure detector: probes every period, a peer silent
+  // past the timeout (net of this monitor's own pauses) is reported to the
+  // membership agent, filtered through the silence_confirms oracle.
+  bool Silent(NodeId peer, std::int64_t now_ms);
   void HeartbeatLoop();
   std::int64_t NowMs() const;
 
@@ -215,6 +200,7 @@ class NodeHost {
   KernelCore core_;
 
   std::mutex core_mu_;  // serializes KernelCore server state
+  recovery::MembershipAgent membership_;
   std::atomic<std::uint64_t> next_req_id_{1};
   std::mutex pending_mu_;
   std::unordered_map<std::uint64_t, Pending> pending_;
@@ -224,27 +210,13 @@ class NodeHost {
   std::condition_variable service_exit_cv_;
   bool service_exited_ = false;
 
-  // Liveness state. last_heard_ms_[n] is the steady-clock stamp of the last
-  // frame received from n; peer_dead_[n] latches once declared — but with
-  // replication on, a frame from a suspected peer that is still a cluster
-  // member revokes the suspicion (partition heal).
+  // Heartbeat detector state: the steady-clock stamp of the last frame
+  // received from each peer (stamped lock-free on the service thread).
   std::vector<std::atomic<std::int64_t>> last_heard_ms_;
-  std::vector<std::atomic<bool>> peer_dead_;
-  // Self-healing membership: true while this host is quorum-parked (one
-  // recovery.quorum_parks count per episode) / mid-rejoin (guards repeated
-  // ResetForRejoin when the coordinator's re-announce retriggers us).
-  std::atomic<bool> parked_{false};
-  std::atomic<bool> joining_{false};
-  // One-shot latch per peer for the drain_requested oracle: the injector's
-  // answer stays true after the node drained and rejoined, so without the
-  // latch the coordinator would drain it again forever.
-  std::vector<std::atomic<bool>> drain_initiated_;
   std::thread heartbeat_;
   std::mutex hb_mu_;
   std::condition_variable hb_cv_;
   bool hb_stop_ = false;
-
-  Counter* nodes_dead_ = nullptr;
 
   // Task threads. A finishing thread moves its own handle from running_ to
   // finished_; the next spawn (or a drain) joins it, so a long-lived node

@@ -12,8 +12,9 @@
 //     the primary's at-most-once response cache, so post-failover resends
 //     replay recorded responses instead of re-executing.
 //
-//   * Membership (gmm/addr.h HomeMap + the runtimes): the cluster moves
-//     through monotonically increasing epochs. When the failure detector
+//   * Membership (gmm/addr.h HomeMap + membership.h MembershipAgent, one
+//     implementation for every runtime): the cluster moves through
+//     monotonically increasing epochs. When the failure detector
 //     declares a node dead, the coordinator — the lowest live rank, with
 //     implicit succession — broadcasts EvictReq{node, epoch+1}; every
 //     survivor bumps its epoch, re-routes the dead node's homes to the
@@ -27,12 +28,12 @@
 //     TaskRegistry::RegisterIdempotent are re-spawned from the client's
 //     spawn ledger on the node now serving the dead host's ring slot.
 //
-// Self-healing (this layer, kernel_core.cc + node_host.cc): the instant
+// Self-healing (kernel_core.cc + membership.cc): the instant
 // tolerance is f = 1 — one backup per home — but the membership heals:
 //
 //   * Quorum-guarded eviction: a node only applies a *locally detected*
 //     eviction while it can still reach a strict majority of the current
-//     membership (heartbeats double as reachability acks). A severed
+//     membership (the failure detector doubles as reachability). A severed
 //     minority partition therefore parks (recovery.quorum_parks) — its
 //     calls fail over and retry until the partition heals — instead of
 //     evicting the majority and forking the global memory. Evictions
@@ -57,11 +58,11 @@
 
 namespace dse::recovery {
 
-// Virtual milliseconds between a kill firing in the simulator's fault
-// injector and the survivors applying the eviction. The sim has no
-// heartbeat traffic (it would perturb every timing figure), so detection is
-// modeled as a fixed delay — deterministic, like everything else in the
-// sim.
+// Virtual milliseconds between two membership ticks in the simulator. Each
+// tick, every node's MembershipAgent (membership.h) reads the fault
+// injector's per-pair verdict in place of heartbeats — heartbeat traffic
+// would perturb every timing figure — so a kill or sever is detected within
+// one period, deterministically, and the protocol runs from there.
 inline constexpr int kSimDetectionDelayMs = 5;
 
 // Milliseconds a client pauses before each failover resend (virtual ones in

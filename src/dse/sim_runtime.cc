@@ -9,6 +9,7 @@
 #include "common/check.h"
 #include "common/log.h"
 #include "dse/client.h"
+#include "dse/recovery/membership.h"
 #include "dse/recovery/recovery.h"
 #include "sim/channel.h"
 #include "sim/simulator.h"
@@ -33,8 +34,8 @@ struct SimState {
   TaskRegistry* registry = nullptr;
   sim::Simulator sim;
   std::unique_ptr<simnet::Medium> medium;
-  // Non-null view of `medium` when it is the routed fabric (topology events
-  // and per-link stats live on the concrete type).
+  // Non-null view of `medium` when it is the routed fabric (per-link stats
+  // live on the concrete type).
   simnet::fabric::RoutedFabricMedium* fabric = nullptr;
   std::vector<std::unique_ptr<SimNode>> nodes;
   // Fault injection (null = lossless wire). The injector's verdicts are a
@@ -83,432 +84,91 @@ struct SimState {
   void Forward(NodeId src, NodeId dst, proto::Envelope env,
                std::uint64_t bytes);
 
-  // Recovery: kills already reacted to (a kill schedule fires exactly once).
+  // Kills whose held frames were already discarded (a kill schedule fires
+  // exactly once).
   std::set<NodeId> deaths_handled;
-  // Planned drains already reacted to (one flag per plan drain entry).
-  std::set<size_t> drains_handled;
-  // Self-healing membership bookkeeping. `members` is the sim's converged
-  // membership ground truth (what a quorum-holding coordinator would have
-  // committed); `parked` holds nodes currently quorum-parked so each park
-  // episode counts once. The *_handled sets make each plan entry's
-  // activation/heal/revive fire exactly once.
-  std::set<NodeId> members;
-  std::set<NodeId> parked;
-  std::set<size_t> severs_active;
-  std::set<size_t> severs_healed;
-  std::set<size_t> revives_handled;
-  bool xfer_nudge_active = false;
+  // A kill schedule may just have fired ("at N frames"): discard the dead
+  // node's frames still sitting in delay queues at the very frame that
+  // triggered it. A write the primary sent before the kill must not surface
+  // after its backup has been promoted (it would silently overwrite newer
+  // state) — nor after a revive.
+  void DropHeldFramesOfNewlyDead();
 
-  // Checks the injector for newly fired kills, severs, heals and revives;
-  // each reaction is scheduled kSimDetectionDelayMs of virtual time later.
-  void NoteDeaths();
-  void OnNodeDeath(NodeId dead);
-  // A plan `drain` schedule fired: run the planned-maintenance cycle a
-  // detection delay later.
-  void OnNodeDrain(NodeId node);
-  // One full planned-maintenance cycle for `node` (docs/recovery.md): mark
-  // every member's view draining (the target starts handing its homes off to
-  // its backup while still serving), keep the target's transfers ticking
-  // until the coordinator observes cutover readiness, apply the planned
-  // eviction on every survivor in one step, and re-admit the node through
-  // the normal rejoin path. A node killed mid-drain drops out of the cycle
-  // here and the regular failover reaction (NoteDeaths -> ReactToMembership)
-  // takes over, replaying buffered acked writes at the backup.
-  void RunDrainCycle(sim::Context& ctx, NodeId node);
-  void OnSeverFired(size_t index);
-  void OnSeverHealed(size_t index);
-  void OnNodeRevive(NodeId node);
-  // Translates fabric link severs/heals (fired inside the medium by frame
-  // count) into the same detection-delayed membership reactions as plan
-  // severs. Polled after deliveries — only a Transmit can fire one.
-  void PollFabricEvents();
-  // The converged membership reaction: partitions the live members into
-  // reachability components, lets the quorum-holding component evict every
-  // unreachable member, and parks quorum-less components. Applies every
-  // eviction before performing any resulting sends so all survivors move
-  // epochs together (no stale-epoch chunk drops between them).
-  void ReactToMembership(sim::Context& ctx);
-  // Quorum for a locally detected eviction, relative to current membership.
-  int QuorumRequired() const {
-    return options->min_quorum > 0
-               ? options->min_quorum
-               : static_cast<int>(members.size()) / 2 + 1;
+  // The failure detector behind every node's membership agent: the fault
+  // injector's per-pair verdict (either end dead, the link severed) or an
+  // unroutable fabric path — the same predicate as the threaded runtime's
+  // liveness oracle, read at the agent's virtual-time tick.
+  bool Silent(NodeId self, NodeId peer) const {
+    if (fault != nullptr &&
+        (fault->NodeDead(self) || fault->NodeDead(peer) ||
+         fault->LinkSevered(self, peer))) {
+      return true;
+    }
+    return !medium->Reachable(MachineOf(self), MachineOf(peer));
   }
-  // Evicted-but-live node asks to be re-admitted (heal / revive path).
-  void StartRejoin(sim::Context& ctx, NodeId node);
-  // Keeps in-flight state transfers moving: retries deferred starts and
-  // resends unacked chunks until every node's transfers drain.
-  void EnsureXferNudge();
 };
+
+recovery::MembershipAgent::Options SimMembershipOptions(SimState* state,
+                                                        NodeId self) {
+  recovery::MembershipAgent::Options o;
+  o.silent = [state, self](NodeId peer, std::int64_t /*now_ms*/) {
+    return state->Silent(self, peer);
+  };
+  if (state->fault != nullptr) {
+    net::FaultInjector* fault = state->fault.get();
+    o.drain_requested = [fault](NodeId peer) {
+      return fault->NodeDraining(peer);
+    };
+  }
+  return o;
+}
 
 struct SimNode {
   SimNode(NodeId id, int num_nodes, KernelOptions kopts, SimState* state)
       : core(id, num_nodes, std::move(kopts)),
+        membership(&core, SimMembershipOptions(state, id)),
         mailbox(&state->sim),
         state(state) {}
 
   KernelCore core;
+  recovery::MembershipAgent membership;
   sim::Channel<SimDelivery> mailbox;
   SimState* state;
 
   std::uint64_t next_req_id = 1;
   // Mailbox of the task blocked on each req_id.
   std::unordered_map<std::uint64_t, sim::Channel<RpcArrival>*> pending;
-
-  bool shutting_down = false;
 };
 
 // Performs kernel actions from whatever simulated process is running
-// (defined below; the recovery path needs it early).
+// (defined below; the membership tick needs it early).
 void PerformActions(sim::Context& ctx, SimState& state, SimNode& node,
                     KernelCore::Actions actions);
-void ChargeAndSend(sim::Context& ctx, SimState& state, NodeId src, NodeId dst,
-                   proto::Envelope env);
 
-void SimState::NoteDeaths() {
-  if (fault == nullptr) return;
+void SimState::DropHeldFramesOfNewlyDead() {
   for (const net::FaultPlan::Kill& kill : options->fault_plan.kills) {
-    if (kill.node < 0 ||
-        kill.node >= static_cast<NodeId>(nodes.size()) ||
-        deaths_handled.count(kill.node) != 0 ||
-        !fault->NodeDead(kill.node)) {
+    if (deaths_handled.count(kill.node) != 0 || !fault->NodeDead(kill.node)) {
       continue;
     }
     deaths_handled.insert(kill.node);
-    OnNodeDeath(kill.node);
-  }
-  // Sever activations / heals and kill revives (self-healing membership).
-  const auto& plan = options->fault_plan;
-  for (size_t i = 0; i < plan.severs.size(); ++i) {
-    const net::FaultPlan::Sever& sv = plan.severs[i];
-    if (severs_active.count(i) == 0 && fault->LinkSevered(sv.a, sv.b)) {
-      severs_active.insert(i);
-      OnSeverFired(i);
+    const size_t drained = delayed.DropNode(kill.node);
+    if (drained > 0) {
+      DSE_LOG(kInfo) << "sim: dropped " << drained
+                     << " held frame(s) of dead node " << kill.node;
     }
-    if (severs_active.count(i) != 0 && severs_healed.count(i) == 0 &&
-        sv.heal >= 0 && !fault->LinkSevered(sv.a, sv.b)) {
-      severs_healed.insert(i);
-      OnSeverHealed(i);
-    }
-  }
-  for (size_t i = 0; i < plan.kills.size(); ++i) {
-    const net::FaultPlan::Kill& kill = plan.kills[i];
-    if (kill.revive >= 0 && deaths_handled.count(kill.node) != 0 &&
-        revives_handled.count(i) == 0 && !fault->NodeDead(kill.node)) {
-      revives_handled.insert(i);
-      OnNodeRevive(kill.node);
-    }
-  }
-  // Planned drains ("drain N after M"): each schedule fires exactly once.
-  for (size_t i = 0; i < plan.drains.size(); ++i) {
-    const net::FaultPlan::Drain& dr = plan.drains[i];
-    if (dr.node < 0 || dr.node >= static_cast<NodeId>(nodes.size()) ||
-        drains_handled.count(i) != 0 || !fault->NodeDraining(dr.node)) {
-      continue;
-    }
-    drains_handled.insert(i);
-    OnNodeDrain(dr.node);
   }
 }
 
-void SimState::OnNodeDeath(NodeId dead) {
-  // Drain the dead node's frames still sitting in delay queues: a write the
-  // primary sent before the kill must not surface after the backup has been
-  // promoted (it would silently overwrite newer state).
-  const size_t drained = delayed.DropNode(dead);
-  if (drained > 0) {
-    DSE_LOG(kInfo) << "sim: dropped " << drained
-                   << " held frame(s) of dead node " << dead;
-  }
-  if (!nodes[0]->core.replication_on()) return;  // PR 3 semantics: no failover
-  // Survivors react after a fixed virtual detection delay. The sim has no
-  // heartbeat traffic, so detection is modeled, not messaged — and the
-  // membership reaction is computed directly on every survivor instead of
-  // broadcast, which keeps it immune to the injector's message faults (the
-  // real runtimes repair lost EvictReqs with re-announce + gossip; the sim
-  // asserts the converged behaviour deterministically).
-  sim.Spawn("evict-" + std::to_string(dead),
-            [this](sim::Context& ctx) {
-              ctx.Sleep(sim::Millis(recovery::kSimDetectionDelayMs));
-              ReactToMembership(ctx);
-            });
-}
-
-void SimState::OnNodeDrain(NodeId node) {
-  if (!nodes[0]->core.replication_on()) return;  // drain needs a backup
-  sim.Spawn("drain-" + std::to_string(node),
-            [this, node](sim::Context& ctx) {
-              ctx.Sleep(sim::Millis(recovery::kSimDetectionDelayMs));
-              RunDrainCycle(ctx, node);
-            });
-}
-
-void SimState::RunDrainCycle(sim::Context& ctx, NodeId node) {
-  if (members.count(node) == 0) return;  // already evicted: stale drain
-  if (fault != nullptr && fault->NodeDead(node)) return;
-  // Deliver the DrainReq on every member core directly (converged modeling,
-  // same shape as ReactToMembership — the real runtimes broadcast and repair
-  // lost copies via re-announce). Each core marks the node draining; the
-  // target itself starts the planned handoff toward its backup.
-  for (NodeId m : members) {
-    SimNode& mn = *nodes[static_cast<size_t>(m)];
-    proto::Envelope env;
-    env.req_id = 0;
-    env.src_node = *members.begin();  // nominal sender: the coordinator
-    env.epoch = mn.core.epoch();
-    env.body = proto::DrainReq{node, mn.core.epoch()};
-    PerformActions(ctx, *this, mn, mn.core.Handle(env));
-  }
-  EnsureXferNudge();
-  // Watch for cutover readiness in virtual time. The idle tick on the
-  // draining node is what emits its DrainResp (the xfer nudge skips idle
-  // cores, so the watch must tick it explicitly).
+// Body of a node's membership tick process: the agent's detector round at
+// the detection cadence, for as long as the workload runs. Spawned only
+// when membership can change, so a lossless run schedules none of it.
+void MembershipTicker(sim::Context& ctx, SimState& state, SimNode& node) {
   for (;;) {
     ctx.Sleep(sim::Millis(recovery::kSimDetectionDelayMs));
-    if (main_finished_at != 0) return;  // workload done: cluster tearing down
-    if (fault != nullptr && fault->NodeDead(node)) return;  // killed mid-drain
-    if (members.count(node) == 0) return;  // lost to a concurrent eviction
-    SimNode& dn = *nodes[static_cast<size_t>(node)];
-    PerformActions(ctx, *this, dn, dn.core.TickTransfers());
-    NodeId coord = -1;
-    for (NodeId m : members) {
-      if (m != node && (fault == nullptr || !fault->NodeDead(m))) {
-        coord = m;
-        break;
-      }
-    }
-    if (coord < 0) return;  // nobody left to run the cutover
-    if (nodes[static_cast<size_t>(coord)]->core.DrainCutoverReady(node)) {
-      break;
-    }
+    if (state.main_finished_at != 0) return;
+    const auto now_ms = static_cast<std::int64_t>(sim::ToMillis(ctx.Now()));
+    PerformActions(ctx, state, node, node.membership.Tick(now_ms));
   }
-  // Planned cutover: every survivor applies the eviction in one step (same
-  // staging as ReactToMembership, so no survivor sees another's
-  // re-replication chunks from a stale epoch), then the node rejoins with a
-  // clean slate over PR 5's admission path.
-  std::vector<std::pair<SimNode*, KernelCore::Actions>> staged;
-  for (NodeId m : members) {
-    if (m == node) continue;
-    if (fault != nullptr && fault->NodeDead(m)) continue;
-    SimNode& mn = *nodes[static_cast<size_t>(m)];
-    if (!mn.core.NodeAlive(node)) continue;
-    staged.emplace_back(&mn, mn.core.ApplyEviction(node, mn.core.epoch() + 1));
-  }
-  for (auto& [sn, actions] : staged) {
-    PerformActions(ctx, *this, *sn, std::move(actions));
-  }
-  members.erase(node);
-  EnsureXferNudge();
-  if (!options->rejoin) return;
-  ctx.Sleep(sim::Millis(recovery::kSimDetectionDelayMs));
-  if (main_finished_at != 0) return;
-  StartRejoin(ctx, node);
-}
-
-void SimState::OnSeverFired(size_t index) {
-  if (!nodes[0]->core.replication_on()) return;
-  sim.Spawn("sever-" + std::to_string(index),
-            [this](sim::Context& ctx) {
-              ctx.Sleep(sim::Millis(recovery::kSimDetectionDelayMs));
-              ReactToMembership(ctx);
-            });
-}
-
-void SimState::OnSeverHealed(size_t index) {
-  if (!nodes[0]->core.replication_on()) return;
-  sim.Spawn("heal-" + std::to_string(index),
-            [this](sim::Context& ctx) {
-              ctx.Sleep(sim::Millis(recovery::kSimDetectionDelayMs));
-              // Reconnected nodes leave the parked state; the membership
-              // reaction below re-parks whoever still lacks a quorum (each
-              // re-park counts a fresh episode) and lets a restored quorum
-              // evict nodes that died while no quorum could act.
-              parked.clear();
-              ReactToMembership(ctx);
-              // Evicted-but-live nodes on the healed side come back.
-              if (!options->rejoin) return;
-              std::vector<NodeId> rejoiners;
-              for (NodeId n = 0; n < static_cast<NodeId>(nodes.size()); ++n) {
-                if (members.count(n) == 0 && !fault->NodeDead(n)) {
-                  rejoiners.push_back(n);
-                }
-              }
-              for (NodeId n : rejoiners) StartRejoin(ctx, n);
-            });
-}
-
-void SimState::OnNodeRevive(NodeId node) {
-  if (!nodes[0]->core.replication_on() || !options->rejoin) return;
-  sim.Spawn("revive-" + std::to_string(node),
-            [this, node](sim::Context& ctx) {
-              ctx.Sleep(sim::Millis(recovery::kSimDetectionDelayMs));
-              // A revived node that was never evicted (no quorum could act
-              // while it was dark) is still a member with intact state; the
-              // membership reaction below settles any pending eviction
-              // decisions either way.
-              if (members.count(node) == 0) StartRejoin(ctx, node);
-            });
-}
-
-void SimState::PollFabricEvents() {
-  if (fabric == nullptr || !fabric->has_link_faults()) return;
-  for (const auto& ev : fabric->TakeTopologyEvents()) {
-    if (!nodes[0]->core.replication_on()) continue;
-    if (!ev.heal) {
-      // Same shape as OnSeverFired: traffic is already rerouting (or being
-      // dropped) inside the medium; the membership layer reacts a detection
-      // delay later and evicts whatever became unreachable.
-      sim.Spawn("flink-sever-" + std::to_string(ev.fault_index),
-                [this](sim::Context& ctx) {
-                  ctx.Sleep(sim::Millis(recovery::kSimDetectionDelayMs));
-                  ReactToMembership(ctx);
-                });
-    } else {
-      sim.Spawn("flink-heal-" + std::to_string(ev.fault_index),
-                [this](sim::Context& ctx) {
-                  ctx.Sleep(sim::Millis(recovery::kSimDetectionDelayMs));
-                  parked.clear();
-                  ReactToMembership(ctx);
-                  if (!options->rejoin) return;
-                  std::vector<NodeId> rejoiners;
-                  for (NodeId nd = 0; nd < static_cast<NodeId>(nodes.size());
-                       ++nd) {
-                    if (members.count(nd) == 0 && !fault->NodeDead(nd)) {
-                      rejoiners.push_back(nd);
-                    }
-                  }
-                  for (NodeId nd : rejoiners) StartRejoin(ctx, nd);
-                });
-    }
-  }
-}
-
-void SimState::ReactToMembership(sim::Context& ctx) {
-  // Live members and their reachability components (an edge exists while the
-  // pair's link is not severed).
-  std::vector<NodeId> live;
-  for (NodeId m : members) {
-    if (!fault->NodeDead(m)) live.push_back(m);
-  }
-  std::set<NodeId> seen;
-  std::vector<std::vector<NodeId>> components;
-  for (NodeId root : live) {
-    if (seen.count(root) != 0) continue;
-    std::vector<NodeId> comp;
-    std::vector<NodeId> stack = {root};
-    seen.insert(root);
-    while (!stack.empty()) {
-      const NodeId cur = stack.back();
-      stack.pop_back();
-      comp.push_back(cur);
-      for (NodeId next : live) {
-        if (seen.count(next) == 0 && !fault->LinkSevered(cur, next) &&
-            medium->Reachable(MachineOf(cur), MachineOf(next))) {
-          seen.insert(next);
-          stack.push_back(next);
-        }
-      }
-    }
-    std::sort(comp.begin(), comp.end());
-    components.push_back(std::move(comp));
-  }
-  const int quorum = QuorumRequired();
-  const std::vector<NodeId>* majority = nullptr;
-  for (const auto& comp : components) {
-    if (static_cast<int>(comp.size()) >= quorum) {
-      majority = &comp;
-      break;
-    }
-  }
-  if (majority == nullptr) {
-    // No component can commit an eviction: everyone parks, membership
-    // stays as it was (dead nodes included) until connectivity returns.
-    for (NodeId m : live) {
-      if (parked.insert(m).second) {
-        nodes[static_cast<size_t>(m)]->core.NoteQuorumPark();
-      }
-    }
-    return;
-  }
-  std::vector<NodeId> targets;
-  for (NodeId m : members) {
-    if (std::find(majority->begin(), majority->end(), m) == majority->end()) {
-      targets.push_back(m);
-    }
-  }
-  // Apply every eviction before performing any resulting sends, so every
-  // survivor reaches the final epoch before the first StateChunkReq of the
-  // re-replication kickoff can arrive.
-  std::vector<std::pair<SimNode*, KernelCore::Actions>> staged;
-  for (NodeId evictor : *majority) {
-    SimNode& node = *nodes[static_cast<size_t>(evictor)];
-    for (NodeId d : targets) {
-      if (!node.core.NodeAlive(d)) continue;  // already evicted in this view
-      staged.emplace_back(&node,
-                          node.core.ApplyEviction(d, node.core.epoch() + 1));
-    }
-  }
-  for (auto& [node, actions] : staged) {
-    PerformActions(ctx, *this, *node, std::move(actions));
-  }
-  for (NodeId d : targets) members.erase(d);
-  for (const auto& comp : components) {
-    if (&comp == majority) continue;
-    for (NodeId m : comp) {
-      if (parked.insert(m).second) {
-        nodes[static_cast<size_t>(m)]->core.NoteQuorumPark();
-      }
-    }
-  }
-  if (!targets.empty()) EnsureXferNudge();
-}
-
-void SimState::StartRejoin(sim::Context& ctx, NodeId node) {
-  SimNode& rn = *nodes[static_cast<size_t>(node)];
-  rn.core.ResetForRejoin();
-  NodeId coord = -1;
-  for (NodeId m : members) {
-    if (m != node && (fault == nullptr || !fault->NodeDead(m)) &&
-        medium->Reachable(MachineOf(node), MachineOf(m))) {
-      coord = m;
-      break;
-    }
-  }
-  if (coord < 0) return;  // nobody to admit us; a later heal retries
-  proto::Envelope env;
-  env.req_id = 0;
-  env.src_node = node;
-  env.epoch = rn.core.epoch();
-  env.body = proto::NodeJoinReq{node};
-  ChargeAndSend(ctx, *this, node, coord, std::move(env));
-  // Ground truth: admission by a live coordinator is deterministic.
-  members.insert(node);
-  EnsureXferNudge();
-}
-
-void SimState::EnsureXferNudge() {
-  if (xfer_nudge_active) return;
-  xfer_nudge_active = true;
-  sim.Spawn("xfer-nudge", [this](sim::Context& ctx) {
-    // Transfers normally progress on their own ack ping-pong; the nudge
-    // only unsticks deferred starts and chunks lost to injected faults.
-    // Exits after a few consecutive idle rounds (transfers triggered by a
-    // just-sent NodeJoinReq take a round trip to appear).
-    int idle_rounds = 0;
-    while (idle_rounds < 5) {
-      ctx.Sleep(sim::Millis(4 * recovery::kSimDetectionDelayMs));
-      bool any = false;
-      for (auto& entry : nodes) {
-        SimNode& node = *entry;
-        if (fault != nullptr && fault->NodeDead(node.core.self())) continue;
-        if (node.core.transfers_idle()) continue;
-        any = true;
-        PerformActions(ctx, *this, node, node.core.TickTransfers());
-      }
-      idle_rounds = any ? 0 : idle_rounds + 1;
-    }
-    xfer_nudge_active = false;
-  });
 }
 
 void SimState::Forward(NodeId src, NodeId dst, proto::Envelope env,
@@ -539,9 +199,7 @@ void SimState::Deliver(NodeId src, NodeId dst, proto::Envelope env,
   // simulation at quiesce time.
   if (fault != nullptr && env.type() != proto::MsgType::kShutdown) {
     const net::FaultAction act = fault->OnSend(src, dst, bytes);
-    // A kill schedule may just have fired ("at N frames"); react exactly at
-    // the frame that triggered it so every run detects at the same instant.
-    NoteDeaths();
+    DropHeldFramesOfNewlyDead();
     // Age held frames before (possibly) holding this one — a frame never
     // releases itself; released frames go out after the current frame.
     std::vector<SimDelivery> due = delayed.OnFramePassed(src, dst);
@@ -562,11 +220,9 @@ void SimState::Deliver(NodeId src, NodeId dst, proto::Envelope env,
       }
     }
     for (SimDelivery& d : due) Forward(src, dst, std::move(d.env), d.bytes);
-    PollFabricEvents();
     return;
   }
   Forward(src, dst, std::move(env), bytes);
-  PollFabricEvents();
 }
 
 // Sends one kernel message, charging the sender's software path cost in the
@@ -625,10 +281,10 @@ class SimRpc final : public RpcTransport {
     return mailbox_.PopUntil(*ctx_, deadline_ns);
   }
   void Pause(int ms) override { ctx_->Sleep(sim::Millis(ms)); }
-  // Evictions are applied on every survivor directly (SimState::
-  // ReactToMembership), so there is no view to reconcile.
-  void OnBounce(NodeId /*responder*/,
-                const proto::RetryResp& /*rr*/) override {}
+  void OnBounce(NodeId responder, const proto::RetryResp& rr) override {
+    PerformActions(*ctx_, *node_->state, *node_,
+                   node_->membership.OnBounce(responder, rr));
+  }
 
  private:
   SimNode* node_;
@@ -638,108 +294,19 @@ class SimRpc final : public RpcTransport {
 
 // --- Task implementation ----------------------------------------------------
 
-class SimTask final : public Task {
- public:
-  SimTask(SimNode* node, sim::Context* ctx, Gpid gpid,
-          std::vector<std::uint8_t> arg)
-      : node_(node),
-        ctx_(ctx),
-        gpid_(gpid),
-        arg_(std::move(arg)),
-        rpc_(node, ctx),
-        client_(&rpc_, &node->core) {}
-
-  NodeId node() const override { return node_->core.self(); }
-  Gpid gpid() const override { return gpid_; }
-  int num_nodes() const override { return node_->core.num_nodes(); }
-  const std::vector<std::uint8_t>& arg() const override { return arg_; }
-  void SetResult(std::vector<std::uint8_t> result) override {
-    result_ = std::move(result);
-  }
-  std::vector<std::uint8_t> TakeResult() { return std::move(result_); }
-
-  Result<gmm::GlobalAddr> AllocStriped(std::uint64_t size,
-                                       std::uint8_t block_log2) override {
-    return client_.AllocStriped(size, block_log2);
-  }
-  Result<gmm::GlobalAddr> AllocOnNode(std::uint64_t size,
-                                      NodeId home) override {
-    return client_.AllocOnNode(size, home);
-  }
-  Status Free(gmm::GlobalAddr addr) override { return client_.Free(addr); }
-  Status Read(gmm::GlobalAddr addr, void* out, std::uint64_t len) override {
-    return client_.Read(addr, out, len);
-  }
-  Status Write(gmm::GlobalAddr addr, const void* src,
-               std::uint64_t len) override {
-    return client_.Write(addr, src, len);
-  }
-  Result<std::int64_t> AtomicFetchAdd(gmm::GlobalAddr addr,
-                                      std::int64_t delta) override {
-    return client_.AtomicFetchAdd(addr, delta);
-  }
-  Result<std::int64_t> AtomicCompareExchange(gmm::GlobalAddr addr,
-                                             std::int64_t expected,
-                                             std::int64_t desired) override {
-    return client_.AtomicCompareExchange(addr, expected, desired);
-  }
-  Status Lock(std::uint64_t lock_id) override { return client_.Lock(lock_id); }
-  Status Unlock(std::uint64_t lock_id) override {
-    return client_.Unlock(lock_id);
-  }
-  Status Barrier(std::uint64_t barrier_id, int parties) override {
-    return client_.Barrier(barrier_id, parties);
-  }
-  Result<Gpid> Spawn(const std::string& task_name,
-                     std::vector<std::uint8_t> arg,
-                     NodeId node_hint) override {
-    return client_.Spawn(task_name, std::move(arg), node_hint);
-  }
-  Result<std::vector<std::uint8_t>> Join(Gpid gpid) override {
-    return client_.Join(gpid);
-  }
-
-  void Compute(double work_units) override {
-    ctx_->Sleep(platform::ComputeTime(node_->state->ProfileOf(node()),
-                                      work_units,
-                                      node_->state->KernelsOf(node())));
-  }
-  void Print(const std::string& text) override {
-    (void)client_.Print(gpid_, text);
-  }
-  Result<std::vector<proto::PsEntry>> ClusterPs() override {
-    return client_.ClusterPs();
-  }
-  Result<std::vector<MetricsSnapshot>> ClusterStats() override {
-    return client_.ClusterStats();
-  }
-  Status PublishName(const std::string& name, std::uint64_t value) override {
-    return client_.PublishName(name, value);
-  }
-  Result<std::uint64_t> LookupName(const std::string& name) override {
-    return client_.LookupName(name);
-  }
-  Result<std::uint64_t> SubmitJob(std::uint32_t tenant,
-                                  const std::string& task_name,
-                                  std::vector<std::uint8_t> arg,
-                                  std::uint32_t gang,
-                                  NodeId locality_hint) override {
-    return client_.SubmitJob(tenant, task_name, std::move(arg), gang,
-                             locality_hint);
-  }
-  Result<std::map<std::string, std::uint64_t>> SchedStat() override {
-    return client_.SchedStat();
-  }
-
- private:
-  SimNode* node_;
-  sim::Context* ctx_;
-  Gpid gpid_;
-  std::vector<std::uint8_t> arg_;
-  std::vector<std::uint8_t> result_;
-  SimRpc rpc_;
-  TaskClient client_;
-};
+// The Task handed to application code on this backend: Compute charges
+// virtual CPU time on the node's (possibly time-shared) machine.
+ClientTask MakeSimTask(SimNode* node, sim::Context* ctx, Gpid gpid,
+                       std::vector<std::uint8_t> arg) {
+  SimState* state = node->state;
+  const NodeId self = node->core.self();
+  return ClientTask(std::make_unique<SimRpc>(node, ctx), &node->core, gpid,
+                    std::move(arg), [state, ctx, self](double work_units) {
+                      ctx->Sleep(platform::ComputeTime(
+                          state->ProfileOf(self), work_units,
+                          state->KernelsOf(self)));
+                    });
+}
 
 // Body of a spawned DSE process.
 void RunTaskBody(sim::Context& ctx, SimState& state, SimNode& node,
@@ -752,7 +319,7 @@ void RunTaskBody(sim::Context& ctx, SimState& state, SimNode& node,
   }
   std::vector<std::uint8_t> result;
   {
-    SimTask task(&node, &ctx, st.gpid, std::move(st.arg));
+    ClientTask task = MakeSimTask(&node, &ctx, st.gpid, std::move(st.arg));
     // Validation happened at spawn time; a miss here means a concurrent
     // re-registration — degrade to an empty result rather than aborting.
     if (TaskFn fn = state.registry->TryGet(st.task_name)) {
@@ -823,20 +390,16 @@ void KernelLoop(sim::Context& ctx, SimState& state, SimNode& node) {
           d.bytes});
     }
 
+    if (KernelCore::Actions consumed;
+        node.membership.OnFrame(d.env, &consumed)) {
+      PerformActions(ctx, state, node, std::move(consumed));
+      continue;
+    }
+
     if (proto::IsClientResponse(d.env.type())) {
-      // Epoch-gated cache fill — same rule as the threaded host: a block
-      // served under an older membership epoch is delivered to the waiting
-      // call but never cached (no live copyset tracks that copy).
-      if (d.env.epoch == node.core.epoch()) {
-        if (auto* rr = std::get_if<proto::ReadResp>(&d.env.body);
-            rr != nullptr && rr->block_fetch) {
-          node.core.CacheInsert(rr->addr, rr->data);
-        } else if (auto* br = std::get_if<proto::BatchResp>(&d.env.body)) {
-          for (const proto::BatchItemResp& item : br->items) {
-            if (item.block_fetch) node.core.CacheInsert(item.addr, item.data);
-          }
-        }
-      }
+      // Cache fills stay ordered with invalidations — same path as the
+      // threaded host.
+      node.core.FillCacheFrom(d.env);
       const auto it = node.pending.find(d.env.req_id);
       if (it == node.pending.end()) {
         // Expected under faults: the duplicate of a dup'd response, or an
@@ -965,7 +528,6 @@ SimReport SimRuntime::Run(const std::string& main_name,
     };
     state.nodes.push_back(
         std::make_unique<SimNode>(i, n, std::move(kopts), &state));
-    state.members.insert(i);
   }
 
   // Kernel service processes.
@@ -977,11 +539,26 @@ SimReport SimRuntime::Run(const std::string& main_name,
                     });
   }
 
-  // Rolling-restart maintenance driver (docs/recovery.md): drain, restart
-  // and rejoin every node except node 0 in sequence while the main task
-  // keeps running. Each cycle waits for the restarted node to be fully
-  // re-admitted (own home handed back, all transfers drained) before the
-  // next begins, so exactly one node is ever out of the serving set.
+  // Membership runs the shared protocol (recovery/membership.h): one agent
+  // per node, ticked in virtual time — only when membership can change, so
+  // a lossless run schedules no agent event and sends no membership frame.
+  if (state.nodes[0]->core.replication_on() &&
+      (options_.fault_plan.enabled() || options_.rolling)) {
+    for (NodeId i = 0; i < n; ++i) {
+      SimNode* node = state.nodes[static_cast<size_t>(i)].get();
+      state.sim.Spawn("membership-" + std::to_string(i),
+                      [&state, node](sim::Context& ctx) {
+                        MembershipTicker(ctx, state, *node);
+                      });
+    }
+  }
+
+  // Rolling-restart maintenance driver (docs/recovery.md): the coordinator
+  // drains every node except itself in sequence while the main task keeps
+  // running. Each cycle waits for the restarted node to be fully re-admitted
+  // (cutover eviction and admission — two epochs — own home handed back,
+  // all transfers drained) before the next begins, so exactly one node is
+  // ever out of the serving set.
   if (options_.rolling) {
     DSE_CHECK_MSG(options_.replication > 0 && options_.rejoin,
                   "rolling restarts require replication and rejoin");
@@ -989,25 +566,23 @@ SimReport SimRuntime::Run(const std::string& main_name,
       // Let the cluster come up and the workload start before the first
       // drain.
       ctx.Sleep(sim::Millis(10 * recovery::kSimDetectionDelayMs));
+      SimNode& coord = *state.nodes[0];
       const NodeId count = static_cast<NodeId>(state.nodes.size());
       for (NodeId d = 1; d < count; ++d) {
         if (state.main_finished_at != 0) return;
-        state.RunDrainCycle(ctx, d);
+        const std::uint32_t start = coord.core.epoch();
+        PerformActions(ctx, state, coord, coord.membership.AdminDrain(d));
+        const SimNode& dn = *state.nodes[static_cast<size_t>(d)];
         for (;;) {
           ctx.Sleep(sim::Millis(recovery::kSimDetectionDelayMs));
           if (state.main_finished_at != 0) return;
-          if (state.members.count(d) == 0) continue;  // rejoin still pending
-          SimNode& dn = *state.nodes[static_cast<size_t>(d)];
-          bool idle = true;
+          bool idle = coord.core.epoch() >= start + 2 &&
+                      coord.core.NodeAlive(d) && dn.core.NodeAlive(d) &&
+                      !dn.core.own_home_pending();
           for (const auto& entry : state.nodes) {
-            if (!entry->core.transfers_idle()) {
-              idle = false;
-              break;
-            }
+            idle = idle && entry->core.transfers_idle();
           }
-          if (idle && dn.core.NodeAlive(d) && !dn.core.own_home_pending()) {
-            break;
-          }
+          if (idle) break;
         }
       }
     });

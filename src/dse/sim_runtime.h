@@ -75,33 +75,34 @@ struct SimOptions {
   int rpc_max_attempts = 3;
   int rpc_backoff_base_ms = 5;
   // Recovery subsystem (docs/recovery.md). With replication = 1 every GMM
-  // home is replicated to its ring successor; when a kill schedule fires,
-  // the survivors apply the eviction a fixed virtual delay later
-  // (recovery::kSimDetectionDelayMs — the sim has no heartbeat traffic) and
-  // clients transparently fail over. Fully deterministic: detection derives
-  // from the injector's frame counts, not timers.
+  // home is replicated to its ring successor, and under a fault plan (or
+  // `rolling`) every node runs the shared membership protocol
+  // (recovery::MembershipAgent), ticked every recovery::kSimDetectionDelayMs
+  // virtual ms with the fault injector's per-pair verdict as its failure
+  // detector; evictions travel the simulated wire and clients
+  // transparently fail over. Fully deterministic: kills and severs fire at
+  // injector frame counts and ticks run in virtual time.
   int replication = 0;
   // Re-spawn idempotent-registered tasks whose host was evicted.
   bool restart_tasks = false;
   // Self-healing membership (docs/recovery.md): quorum floor for locally
   // detected evictions (0 = strict majority of the current membership) and
-  // whether evicted nodes may rejoin. The sim models the converged outcome
-  // deterministically: on a kill or sever it computes the partition
-  // components among the live members, the component holding a quorum
-  // evicts the unreachable nodes, and quorum-less components park
-  // (recovery.quorum_parks) until the fault heals; heals and revives
-  // trigger rejoin + state hand-back over the same wire protocol the
-  // threaded runtime uses.
+  // whether evicted nodes may rejoin. Same protocol as the threaded
+  // runtime: a node that cannot reach a quorum parks
+  // (recovery.quorum_parks) until the fault heals, and a healed or revived
+  // node the majority evicted rejoins on the coordinator's re-announce,
+  // with its state handed back.
   int min_quorum = 0;
   bool rejoin = true;
   // Serving front door (docs/scheduling.md): when enabled node 0 hosts the
   // multi-tenant job scheduler. Timestamps come from virtual time, so the
   // whole serving schedule is bit-for-bit replayable.
   sched::Config sched;
-  // Rolling-restart maintenance driver (docs/recovery.md): drain, restart
-  // and rejoin every node except node 0 in sequence while the main task
-  // (typically a serving loop) keeps running. Exactly one node is ever out
-  // of the serving set at a time. Requires replication = 1 and rejoin.
+  // Rolling-restart maintenance driver (docs/recovery.md): the coordinator
+  // (node 0) drains every other node in sequence — AdminDrain, cutover,
+  // rejoin — while the main task (typically a serving loop) keeps running.
+  // Exactly one node is ever out of the serving set at a time. Requires
+  // replication = 1 and rejoin.
   bool rolling = false;
   // Optional execution tracing (not owned; may be null). Events carry
   // virtual timestamps; see dse/trace.h for export formats.

@@ -1152,6 +1152,44 @@ TEST(RecoverySim, ChaosSoakMatchesFaultFreeBitForBit) {
   }
 }
 
+// The simulator runs the membership protocol the threaded runtime ships, not
+// a converged oracle: under a kill plus random frame drops, the coordinator
+// announces the eviction over the lossy wire (msg.sent.EvictReq > 0), the
+// survivors still converge on one epoch, and the run replays bit-for-bit.
+TEST(RecoverySim, KillUnderDropsRunsTheWireProtocolAndConverges) {
+  SimOptions opts = SelfHealingSimOptions();
+  opts.fault_plan.drop_p = 0.02;
+  opts.fault_plan.kills.push_back({2, 300});
+  SimRuntime rt(opts);
+  RegisterGaussHomedOn(rt.registry(), 2, {0, 1, 3});
+
+  const SimReport a = rt.Run("gs_main");
+  const SimReport b = rt.Run("gs_main");
+
+  EXPECT_EQ(ResultI64(a.main_result), 0);
+  EXPECT_EQ(Get(a.fault_counters, "fault.killed_nodes"), 1u);
+  EXPECT_GE(Get(a.fault_counters, "fault.injected.drop"), 1u);
+  EXPECT_GT(SumCounter(a.node_stats, "msg.sent.EvictReq"), 0u);
+  EXPECT_GE(SumCounter(a.node_stats, "recovery.promotions"), 1u);
+  // One view: every survivor applied the eviction exactly once and ends on
+  // the same membership epoch.
+  const std::uint64_t epoch = Get(a.node_stats[0], "recovery.epoch");
+  EXPECT_GE(epoch, 1u);
+  for (const size_t survivor : {0u, 1u, 3u}) {
+    EXPECT_EQ(Get(a.node_stats[survivor], "recovery.evictions"), 1u)
+        << "node " << survivor;
+    EXPECT_EQ(Get(a.node_stats[survivor], "recovery.epoch"), epoch)
+        << "node " << survivor;
+  }
+
+  EXPECT_EQ(a.virtual_seconds, b.virtual_seconds);
+  EXPECT_EQ(a.messages, b.messages);
+  EXPECT_EQ(a.wire_frames, b.wire_frames);
+  EXPECT_EQ(a.main_result, b.main_result);
+  EXPECT_EQ(a.node_stats, b.node_stats);
+  EXPECT_EQ(a.fault_counters, b.fault_counters);
+}
+
 // --- Serving front door under faults ----------------------------------------
 
 // A worker dies while the cluster is saturated: every node — including the
