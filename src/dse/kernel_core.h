@@ -6,7 +6,10 @@
 //   * the parallel process management module (ProcessTable),
 //   * the client-side read cache (coherence extension),
 //   * the SSI services facade (src/dse/ssi/: console routing, cluster ps,
-//     name service, load query, metrics snapshot query).
+//     name service, load query, metrics snapshot query),
+//   * the replica path (src/dse/recovery/replica.h: replication, state
+//     transfer, join admission, drain), behind routing, the epoch fence and
+//     the at-most-once cache, which stay here.
 //
 // The backends (ThreadedRuntime, SimRuntime) own the message loop; they feed
 // inbound server-side messages into Handle() and carry out the returned
@@ -25,7 +28,6 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -41,10 +43,15 @@
 #include "dse/ids.h"
 #include "dse/pm/process_table.h"
 #include "dse/proto/messages.h"
+#include "dse/recovery/recovery.h"
 #include "dse/sched/scheduler.h"
 #include "dse/ssi/services.h"
 
 namespace dse {
+
+namespace recovery {
+class Replica;
+}  // namespace recovery
 
 struct KernelOptions {
   // Enables the client read cache + home copyset/invalidation protocol.
@@ -145,6 +152,7 @@ class KernelCore {
   };
 
   KernelCore(NodeId self, int num_nodes, KernelOptions options);
+  ~KernelCore();
 
   NodeId self() const { return self_; }
   int num_nodes() const { return num_nodes_; }
@@ -207,25 +215,24 @@ class KernelCore {
   // deadline — or, on a lossless simulated wire, wait forever. The caller
   // then sends NodeJoinReq to the coordinator.
   Actions ResetForRejoin();
-  bool own_home_pending() const { return own_home_pending_; }
+  bool own_home_pending() const;
 
-  // Retransmission tick for in-flight state transfers (the membership
-  // agent's tick): resends the current chunk of every outgoing transfer no
-  // ack advanced since the previous tick, and retries deferred transfer
-  // starts (a serving home with an invalidation round in flight cannot
-  // snapshot). Idempotent — receivers re-ack duplicate chunks.
+  // The membership agent's tick for the replica path (recovery/replica.h):
+  // resends the current chunk of every outgoing transfer that sat unacked
+  // past its backoff, retries deferred transfer starts (a serving home with
+  // an invalidation round in flight cannot snapshot), and has a drained
+  // node report cutover readiness. Idempotent — receivers re-ack duplicate
+  // chunks.
   Actions TickTransfers();
   // True when no outgoing state transfer is in flight or deferred (the sim's
   // rolling-restart driver waits for this between cycles).
-  bool transfers_idle() const {
-    return xfer_out_.empty() && xfer_deferred_.empty();
-  }
+  bool transfers_idle() const;
 
   // --- Planned drain (docs/recovery.md) -----------------------------------
 
   // True once a DrainReq for `node` has been observed here (cleared by the
   // eviction that completes the drain, or by the node's re-admission).
-  bool NodeDraining(NodeId node) const { return draining_.count(node) > 0; }
+  bool NodeDraining(NodeId node) const;
   // Coordinator-side cutover test: the draining node reported its handoff
   // complete (DrainResp under the current epoch) and the serving scheduler
   // (when hosted here) has no unfinished gang member there. The caller then
@@ -306,11 +313,17 @@ class KernelCore {
   sched::Scheduler* scheduler() { return sched_.get(); }
 
  private:
+  // The replica path (recovery/replica.h) reads routing, dispatches
+  // records against shadow homes and merges promoted response ledgers into
+  // the at-most-once cache.
+  friend class recovery::Replica;
+
   // At-most-once cache key: (requester node, req_id).
   using DedupeKey = std::pair<NodeId, std::uint64_t>;
 
-  // The pre-dedupe request dispatch (the body of Handle).
-  Actions Dispatch(const proto::Envelope& env);
+  // The pre-dedupe request dispatch (the body of Handle); `natural` is the
+  // request's NaturalHomeOf.
+  Actions Dispatch(const proto::Envelope& env, NodeId natural);
   void HandleInvalidate(const proto::Envelope& env, Actions* actions);
 
   // Turns scheduler start directives into local process starts (self) or
@@ -328,8 +341,6 @@ class KernelCore {
   // req_id) replays the original response instead of re-executing.
   void HarvestResponses(Actions* actions);
 
-  // --- Recovery internals -------------------------------------------------
-
   // Natural home of a GMM-routed request, or -1 for unrouted types.
   NodeId NaturalHomeOf(const proto::Envelope& env) const;
   // The GmmHome currently serving `natural` on this node: the node's own
@@ -337,65 +348,18 @@ class KernelCore {
   gmm::GmmHome* ServingHome(NodeId natural);
   // Runs a GMM request against an arbitrary home object (the normal home on
   // the primary, shadows on the backup). Returns false for non-GMM types.
-  bool DispatchGmm(gmm::GmmHome& home, const proto::Envelope& env,
-                   Actions* actions);
-  // True for mutating GMM requests a primary forwards to its backup.
-  static bool ReplicationNeeded(const proto::Envelope& env);
-  // Forwards `env` to this home's backup and gates the client replies in
-  // `actions` until the backup acks.
-  void ForwardToBackup(const proto::Envelope& env, Actions* actions);
-  // Withholds client responses whose origin request is still gated on a
-  // backup ack (covers replies deferred behind invalidation rounds).
-  void HoldGatedResponses(Actions* actions);
-  // A duplicate of an in-flight request doubles as the retransmission
-  // trigger for the replication record its reply is gated on.
-  void ResendGatedFor(const DedupeKey& key, Actions* actions);
-
-  // Re-stamps every pending replication record with the current epoch.
-  // Must run after every membership-epoch bump (eviction or admission):
-  // the backup's record fence drops stale-stamped retransmissions, so a
-  // record forwarded just before the bump could otherwise never be acked.
-  void RestampPendingRecords();
-  void HandleReplicate(const proto::Envelope& env, Actions* actions);
-  void HandleReplicateAck(const proto::Envelope& env, Actions* actions);
-  // Self-healing membership (docs/recovery.md).
-  void HandleNodeJoinReq(const proto::Envelope& env, Actions* actions);
-  void HandleNodeJoinResp(const proto::Envelope& env, Actions* actions);
-  void HandleStateChunk(const proto::Envelope& env, Actions* actions);
-  void HandleStateChunkAck(const proto::Envelope& env, Actions* actions);
-  // Planned drain (docs/recovery.md): every member marks the node draining
-  // (the scheduler node also stops placing work there); the drained node
-  // itself starts the proactive handoff.
-  void HandleDrainReq(const proto::Envelope& env, Actions* actions);
-  // Coordinator side: records the draining node's handoff-complete report.
-  void HandleDrainResp(const proto::Envelope& env, Actions* actions);
-  // The draining node: stream every home it serves to its ring successor
-  // while *continuing to serve* (demote=false) — mutations acked during the
-  // copy are forwarded as normal replication records, which the receiver
-  // buffers and replays on top of the snapshot. An already in-flight
-  // transfer of the same home to the same target is tagged rather than
-  // restarted (a same-epoch restart would trip the receiver's duplicate-
-  // chunk-0 detection).
-  void StartDrainHandoff(Actions* actions);
-  // Local side effects of node's re-admission on every member: drop the
-  // stale routing cache and shadow, hand a held home back to its returned
-  // owner, and re-replicate to a changed ring successor.
-  void OnAdmitted(NodeId node, bool was_holder, NodeId old_backup,
-                  Actions* actions);
-  // Begins (or defers, while an invalidation round is in flight) streaming
-  // the home serving `primary` to `target`. `demote`: on completion the
-  // sender stops serving and keeps the state as a shadow (rejoin handoff).
-  void StartTransfer(NodeId primary, NodeId target, bool demote,
-                     Actions* actions, bool drain = false);
-  // Emits the current chunk of an outgoing transfer.
-  void SendChunk(NodeId primary, Actions* actions);
-  // Applies a fully received transfer blob (own home for a rejoining node,
-  // a fresh shadow otherwise) plus the live records buffered behind it.
-  void InstallTransfer(NodeId primary, Actions* actions);
-  // Records a shadow-produced client response for post-promotion replay.
-  void RecordShadowResponse(NodeId primary, NodeId dst,
-                            proto::Envelope env);
+  static bool DispatchGmm(gmm::GmmHome& home, const proto::Envelope& env,
+                          Actions* actions);
   proto::Envelope MakeRetryResp(const proto::Envelope& req) const;
+
+  // Route-map reads and edits for the replica path (each takes route_mu_).
+  NodeId Backup() const;                  // this node's ring successor
+  bool RoutedHere(NodeId primary) const;  // dead, and its slot routes here
+  bool Admit(NodeId node, std::uint32_t epoch);
+  void InstallView(const std::vector<std::uint8_t>& alive,
+                   std::uint32_t epoch);
+  // Drops the whole client read cache (a membership change moved homes).
+  void DropCache();
 
   NodeId self_;
   int num_nodes_;
@@ -421,12 +385,10 @@ class KernelCore {
   ssi::SsiServices ssi_;
 
   // At-most-once request cache. `completed_` holds the response envelope of
-  // each finished mutating request inside a FIFO window; `in_progress_`
-  // marks requests whose response is still deferred (e.g. a write ack
-  // behind an invalidation round) so duplicates are dropped rather than
-  // re-executed.
-  std::map<DedupeKey, proto::Envelope> completed_;
-  std::deque<DedupeKey> completed_order_;
+  // each finished mutating request; `in_progress_` marks requests whose
+  // response is still deferred (e.g. a write ack behind an invalidation
+  // round) so duplicates are dropped rather than re-executed.
+  recovery::FifoWindow<DedupeKey, proto::Envelope> completed_;
   std::set<DedupeKey> in_progress_;
   Counter* dedupe_replays_ = nullptr;
   Counter* dedupe_drops_ = nullptr;
@@ -438,125 +400,12 @@ class KernelCore {
   mutable std::mutex route_mu_;
   gmm::HomeMap home_map_;
 
-  // Primary side: replication records in flight to the backup, keyed by the
-  // per-primary sequence number, with the client replies gated on the ack.
-  struct PendingRepl {
-    NodeId backup = -1;
-    proto::Envelope record;        // resendable ReplicateReq envelope
-    DedupeKey origin{-1, 0};       // requester of the replicated mutation
-    std::vector<Outgoing> held;    // replies withheld until the ack
-  };
-  std::uint64_t repl_next_seq_ = 1;
-  std::map<std::uint64_t, PendingRepl> repl_pending_;
-  std::map<DedupeKey, std::uint64_t> repl_gated_;  // origin -> seq
+  // Replication, state transfer, join admission and drain.
+  std::unique_ptr<recovery::Replica> replica_;
 
-  // Backup side: one shadow home per primary this node backs, plus the
-  // client responses the shadow produced (replayed into the dedupe cache on
-  // promotion so in-flight retries see original results, not re-execution).
-  struct ShadowHome {
-    std::unique_ptr<gmm::GmmHome> home;
-    std::map<DedupeKey, proto::Envelope> completed;
-    std::deque<DedupeKey> completed_order;
-    std::set<std::uint64_t> seen;  // applied record seqs (re-ack, not re-run)
-    std::deque<std::uint64_t> seen_order;
-    // Records that arrived before the state transfer that seeds this shadow
-    // (its first chunk and the records race on separate sender threads).
-    // Acked on arrival, applied right after the blob installs — before the
-    // mid-transfer records buffered in IncomingTransfer — so the replica
-    // replays the exact arrival order. Only populated at epoch > 0: past
-    // the first membership change, every fresh record stream is preceded
-    // by a transfer, so a record with no installed base state means the
-    // blob is still in flight, never that there is no blob at all.
-    std::vector<proto::Envelope> pending_records;
-    // Seeded by a planned drain handoff (a snapshot streamed by a still-
-    // alive, still-serving primary): the later adoption of this shadow is
-    // counted as recovery.drains, not recovery.promotions — the eviction
-    // that completes the drain loses nothing by construction.
-    bool drain_ready = false;
-  };
-  std::map<NodeId, ShadowHome> shadows_;
-  // Promoted shadows now serving a dead primary's key space.
-  std::map<NodeId, std::unique_ptr<gmm::GmmHome>> promoted_;
-
-  // --- State transfer (self-healing membership) ---------------------------
-
-  // Outgoing transfer of one home's serialized state, keyed by the natural
-  // primary. Ack-paced: one chunk in flight, advanced by StateChunkResp.
-  struct OutgoingTransfer {
-    NodeId target = -1;
-    std::uint32_t epoch = 0;
-    std::vector<std::uint8_t> blob;
-    std::uint32_t next = 0;   // index of the chunk currently in flight
-    std::uint32_t total = 0;
-    bool demote = false;      // rejoin handoff: keep the state as a shadow
-    bool drain = false;       // planned drain handoff (recovery.handoff.*)
-    // No ack advanced the transfer since the last tick: the next tick
-    // retransmits its chunk (a chunk sent just before a tick is not).
-    bool stalled = false;
-  };
-  std::map<NodeId, OutgoingTransfer> xfer_out_;
-  // Transfer starts deferred behind an in-flight invalidation round.
-  struct DeferredTransfer {
-    NodeId primary = -1;
-    NodeId target = -1;
-    bool demote = false;
-    bool drain = false;
-  };
-  std::vector<DeferredTransfer> xfer_deferred_;
-  // Incoming transfer reassembly, keyed by the natural primary. Live
-  // ReplicateReq records arriving mid-transfer are acked and buffered, then
-  // applied in arrival order once the blob installs.
-  struct IncomingTransfer {
-    std::uint32_t epoch = 0;
-    std::uint32_t total = 0;
-    std::vector<std::uint8_t> blob;   // chunks received so far, concatenated
-    std::uint32_t received = 0;
-    std::vector<proto::Envelope> buffered;  // ReplicateReq frames
-    // Sender (captured at chunk 0). If the sender dies mid-transfer, the
-    // buffered records must be replayed onto the pre-existing shadow before
-    // promotion (ApplyEviction) — they were acked, and the aborted blob can
-    // no longer carry them.
-    NodeId from = -1;
-  };
-  std::map<NodeId, IncomingTransfer> xfer_in_;
-  // Epoch of the last fully-installed incoming transfer per primary. The
-  // sender retransmits on its tick whenever the ack is merely slow, so a
-  // duplicate chunk 0 can arrive AFTER the install erased xfer_in_. Without
-  // this record the duplicate would re-open the transfer and re-install the
-  // stale snapshot over a shadow that live records have since moved past —
-  // a silent rollback that the next failover promotes (or, multi-chunk, a
-  // shadow wedged in buffer-don't-apply mode forever). Duplicates of an
-  // installed transfer are re-acked and dropped instead. A genuinely new
-  // transfer for the same primary always runs under a bumped epoch (every
-  // start follows a membership change), so epoch equality is the test.
-  std::map<NodeId, std::uint32_t> xfer_installed_;
-  // Rejoin: this node's own home is empty until its previous holder streams
-  // the state back; requests for it bounce with RetryResp meanwhile.
-  bool own_home_pending_ = false;
-
-  // Planned drain (docs/recovery.md). Every member mirrors the draining set
-  // from the DrainReq broadcast; drain_ready_ is coordinator-side only (the
-  // draining nodes whose handoff-complete DrainResp has arrived). Both are
-  // cleared by the eviction that completes the drain or by re-admission.
-  std::set<NodeId> draining_;
-  std::set<NodeId> drain_ready_;
-
-  Counter* repl_forwards_ = nullptr;
   Counter* evictions_ = nullptr;
-  Counter* promotions_ = nullptr;
-  Counter* replayed_ = nullptr;
   Counter* epoch_bounces_ = nullptr;
-  Counter* rereplications_ = nullptr;
-  Counter* rejoins_ = nullptr;
   Counter* quorum_parks_ = nullptr;
-  Counter* xfer_chunks_ = nullptr;
-  Counter* xfer_bytes_ = nullptr;
-  // Planned-drain ledger: homes adopted over the drain handoff (the planned
-  // counterpart of recovery.promotions) and the handoff's share of the state
-  // transfer traffic.
-  Counter* drains_ = nullptr;
-  Counter* handoff_chunks_ = nullptr;
-  Counter* handoff_bytes_ = nullptr;
 
   // --- Serving front door (docs/scheduling.md) ----------------------------
 

@@ -341,6 +341,7 @@ void Put(ByteWriter& w, const StateChunkReq& m) {
   w.WriteU32(m.epoch);
   w.WriteU32(m.index);
   w.WriteU32(m.total);
+  w.WriteU64(m.next_seq);
   w.WriteBytes({reinterpret_cast<const char*>(m.data.data()), m.data.size()});
 }
 Status Get(ByteReader& r, StateChunkReq* m) {
@@ -348,6 +349,7 @@ Status Get(ByteReader& r, StateChunkReq* m) {
   DSE_RETURN_IF_ERROR(r.ReadU32(&m->epoch));
   DSE_RETURN_IF_ERROR(r.ReadU32(&m->index));
   DSE_RETURN_IF_ERROR(r.ReadU32(&m->total));
+  DSE_RETURN_IF_ERROR(r.ReadU64(&m->next_seq));
   return r.ReadBytes(&m->data);
 }
 void Put(ByteWriter& w, const StateChunkResp& m) {

@@ -347,13 +347,16 @@ struct NodeJoinResp {
 // reassembled blob as a shadow (re-replication) or as its own serving home
 // (rejoin handoff). A chunk stamped with a stale epoch is dropped — the
 // sender restarts the transfer under the new epoch on the next membership
-// change.
+// change. `next_seq` is the sender's next ReplicateReq seq when it took the
+// snapshot: the sender's records below it are already inside the blob, so
+// the receiver acks and skips them whenever they arrive.
 struct StateChunkReq {
   NodeId primary = -1;
   std::uint32_t epoch = 0;
   std::uint32_t index = 0;
   std::uint32_t total = 0;
   std::vector<std::uint8_t> data;
+  std::uint64_t next_seq = 0;
 };
 // Receiver -> sender: chunk `index` of `primary`'s transfer is in.
 struct StateChunkResp {

@@ -1,16 +1,16 @@
 // Recovery subsystem: shared constants and conventions for surviving node
 // death (docs/recovery.md).
 //
-// The subsystem has three cooperating parts, spread across the layers that
-// own the relevant state:
+// The subsystem has three cooperating parts:
 //
-//   * Replication (kernel_core.cc): with `replication = 1`, every GMM home
-//     forwards its mutations to its ring successor (`HomeMap::BackupOf`) as
-//     epoch-stamped ReplicateReq records. The primary holds client replies
-//     until the backup acks the record, so an acked reply implies a durable
-//     backup copy. The backup maintains a shadow GmmHome per primary plus
-//     the primary's at-most-once response cache, so post-failover resends
-//     replay recorded responses instead of re-executing.
+//   * Replication (replica.h Replica, owned by each KernelCore): with
+//     `replication = 1`, every GMM home forwards its mutations to its ring
+//     successor (`HomeMap::BackupOf`) as epoch-stamped ReplicateReq records.
+//     The primary holds client replies until the backup acks the record, so
+//     an acked reply implies a durable backup copy. The backup maintains a
+//     shadow GmmHome per primary plus the primary's at-most-once response
+//     cache, so post-failover resends replay recorded responses instead of
+//     re-executing.
 //
 //   * Membership (gmm/addr.h HomeMap + membership.h MembershipAgent, one
 //     implementation for every runtime): the cluster moves through
@@ -28,7 +28,7 @@
 //     TaskRegistry::RegisterIdempotent are re-spawned from the client's
 //     spawn ledger on the node now serving the dead host's ring slot.
 //
-// Self-healing (kernel_core.cc + membership.cc): the instant
+// Self-healing (replica.cc + membership.cc): the instant
 // tolerance is f = 1 — one backup per home — but the membership heals:
 //
 //   * Quorum-guarded eviction: a node only applies a *locally detected*
@@ -55,6 +55,10 @@
 #pragma once
 
 #include <cstddef>
+#include <deque>
+#include <map>
+#include <utility>
+#include <variant>
 
 namespace dse::recovery {
 
@@ -81,5 +85,57 @@ inline constexpr int kMaxFailovers = 2000;
 // budget of bench_ablation_replication), large enough that a typical home
 // moves in a handful of round trips.
 inline constexpr std::size_t kStateChunkBytes = 8192;
+
+// State-transfer retransmission backoff, in membership ticks. A chunk no
+// ack advanced is resent once it has sat unacked for kChunkResendTicks
+// whole ticks; each resend doubles the wait, up to kMaxChunkResendTicks,
+// and an ack that advances the transfer resets it. A chunk's round trip on
+// the simulated SunOS bus under live traffic spans two to three 5 ms ticks,
+// so an earlier resend would only queue a duplicate behind the original.
+inline constexpr int kChunkResendTicks = 3;
+inline constexpr int kMaxChunkResendTicks = 16;
+
+// How many entries each at-most-once ledger remembers: the kernel's
+// completed-request cache, a shadow's recorded responses and its applied
+// record seqs. Large enough that a retry arriving within its deadline window
+// always finds the original outcome.
+inline constexpr std::size_t kDedupeWindow = 1024;
+
+// A map that remembers only its kDedupeWindow newest insertions, forgetting
+// the oldest first. V defaults to a unit type, making it a bounded set.
+template <typename K, typename V = std::monostate>
+class FifoWindow {
+ public:
+  // Inserts `key` unless it is already held (the first value wins). Returns
+  // whether it was inserted.
+  bool Insert(const K& key, V value = V{}) {
+    if (!entries_.emplace(key, std::move(value)).second) return false;
+    order_.push_back(key);
+    if (order_.size() > kDedupeWindow) {
+      entries_.erase(order_.front());
+      order_.pop_front();
+    }
+    return true;
+  }
+  const V* Find(const K& key) const {
+    const auto it = entries_.find(key);
+    return it == entries_.end() ? nullptr : &it->second;
+  }
+  bool Contains(const K& key) const { return entries_.count(key) > 0; }
+  void Clear() {
+    entries_.clear();
+    order_.clear();
+  }
+  // Hands every entry, in key order, to fn(key, V&&) and empties the window.
+  template <typename F>
+  void DrainTo(F&& fn) {
+    for (auto& [key, value] : entries_) fn(key, std::move(value));
+    Clear();
+  }
+
+ private:
+  std::map<K, V> entries_;
+  std::deque<K> order_;
+};
 
 }  // namespace dse::recovery

@@ -234,12 +234,14 @@ TEST(Proto, StateChunkRoundTrip) {
   chunk.index = 7;
   chunk.total = 12;
   chunk.data = std::vector<std::uint8_t>(8192, 0xA7);
+  chunk.next_seq = 0x1122334455667788ULL;  // all 8 bytes significant
   const auto out = RoundTrip(Env(chunk, /*req_id=*/0));
   const auto& m = std::get<StateChunkReq>(out.body);
   EXPECT_EQ(m.primary, 2);
   EXPECT_EQ(m.epoch, 4u);
   EXPECT_EQ(m.index, 7u);
   EXPECT_EQ(m.total, 12u);
+  EXPECT_EQ(m.next_seq, 0x1122334455667788ULL);
   EXPECT_EQ(m.data.size(), 8192u);
   EXPECT_EQ(m.data[4096], 0xA7);
 
@@ -358,6 +360,7 @@ TEST(Proto, MembershipFramesRejectEveryTruncation) {
   chunk.index = 0;
   chunk.total = 3;
   chunk.data = {9, 8, 7, 6, 5};
+  chunk.next_seq = 41;
   NodeJoinResp resp;
   resp.node = 2;
   resp.epoch = 5;
@@ -403,6 +406,7 @@ TEST(Proto, MembershipFramesSurviveByteFlipFuzz) {
   chunk.index = 2;
   chunk.total = 4;
   chunk.data = std::vector<std::uint8_t>(64, 0x3C);
+  chunk.next_seq = 1ULL << 40;
   NodeJoinResp resp;
   resp.node = 1;
   resp.epoch = 2;
@@ -462,7 +466,7 @@ TEST_P(ProtoAllTypes, EncodedSizeIsStable) {
       BatchReq{}, BatchResp{}, Heartbeat{},
       ReplicateReq{1, 9, 2, {5, 5}}, ReplicateAck{9}, EvictReq{2, 3},
       RetryResp{3, 2}, NodeJoinReq{1}, NodeJoinResp{1, 4, {1, 1, 0}},
-      StateChunkReq{0, 4, 1, 2, {7, 7, 7}}, StateChunkResp{0, 1},
+      StateChunkReq{0, 4, 1, 2, {7, 7, 7}, 17}, StateChunkResp{0, 1},
       JobSubmitReq{1, "sched.tenant", {2, 2}, 2, 3}, JobSubmitResp{9, 5},
       JobStartReq{9, 1, "sched.tenant", {2, 2}}, JobDoneReq{9, 1},
       SchedStatReq{}, SchedStatResp{{{"sched.admitted", 4}}},
