@@ -38,6 +38,19 @@ void BM_RemoteRead64(benchmark::State& state) {
 }
 BENCHMARK(BM_RemoteRead64);
 
+// The main task runs on node 0, so this read is served by its own kernel:
+// ROADMAP's target for the in-place local path is under 2 us.
+void BM_LocalRead64(benchmark::State& state) {
+  RunInTask(state, false, [](Task& t, benchmark::State& st) {
+    auto addr = t.AllocOnNode(64, 0).value();  // homed on the caller's node
+    std::uint8_t buf[64];
+    for (auto _ : st) {
+      benchmark::DoNotOptimize(t.Read(addr, buf, sizeof(buf)));
+    }
+  });
+}
+BENCHMARK(BM_LocalRead64);
+
 void BM_RemoteWrite64(benchmark::State& state) {
   RunInTask(state, false, [](Task& t, benchmark::State& st) {
     auto addr = t.AllocOnNode(64, 1).value();

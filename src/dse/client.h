@@ -120,7 +120,7 @@ class TaskClient {
                                          std::uint64_t len) const;
 
   // One read-path request: a demand cache miss (copied into the caller's
-  // buffer) or a read-ahead block (cache-filled on the service path only).
+  // buffer) or a read-ahead block (cache-filled on the receive path only).
   struct ReadItem {
     gmm::Chunk c;
     bool cacheable = false;  // request block widening + copyset tracking

@@ -16,8 +16,8 @@
 // Actions (sends, local task starts, console lines, shutdown). Client
 // *responses* never reach the core — backends route them straight to the
 // blocked task — with one exception: every response passes through
-// FillCacheFrom() on the service path so block-fetch cache fills stay
-// ordered with invalidations.
+// FillCacheFrom() on its receive path, in its sender's send order, so
+// block-fetch cache fills stay ordered with invalidations.
 //
 // Observability: the core owns the node's MetricsRegistry. Backends count
 // per-type message traffic via CountSent/CountRecv and wire bytes via

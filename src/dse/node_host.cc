@@ -35,6 +35,8 @@ class HostRpc final : public RpcTransport {
     host_->UnregisterCall(req_id);
   }
   Status Send(NodeId dst, const proto::Envelope& env) override {
+    // A call to self runs the kernel right here, on the task thread.
+    if (dst == host_->self()) return host_->SendToSelf(env);
     return host_->SendEnvelope(dst, env);
   }
   std::int64_t NowNs() override {
@@ -155,11 +157,14 @@ NodeHost::NodeHost(net::Endpoint* endpoint, int num_nodes, Options options)
                           },
                       .drain_requested = options_.drain_requested,
                   }),
+      local_inline_(core_.metrics().counter("rpc.local_inline")),
       last_heard_ms_(static_cast<size_t>(num_nodes)) {
   DSE_CHECK(options_.registry != nullptr);
 }
 
-NodeHost::~NodeHost() {
+NodeHost::~NodeHost() { Stop(); }
+
+void NodeHost::Stop() {
   {
     std::lock_guard<std::mutex> lock(hb_mu_);
     hb_stop_ = true;
@@ -183,10 +188,15 @@ void NodeHost::Start() {
   for (auto& stamp : last_heard_ms_) {
     stamp.store(now, std::memory_order_relaxed);
   }
+  endpoint_->SetReceiveHook(
+      [this](const net::Delivery& d) { return TakeResponse(d); });
   service_ = std::thread([this] {
     ServiceLoop();
     // Nothing will answer a pending call once the service loop is gone;
     // release every blocked task with a terminal status instead of hanging.
+    // An in-place call that got past `serving_` registered before this
+    // sweep, so it is failed here too.
+    serving_.store(false);
     FailAllPending(Unavailable("node service loop exited"));
     {
       std::lock_guard<std::mutex> lock(service_exit_mu_);
@@ -328,11 +338,13 @@ std::vector<std::uint8_t> NodeHost::RunLocalTask(
 
 void NodeHost::FinishLocalTask(Gpid gpid, std::vector<std::uint8_t> result) {
   KernelCore::Actions actions;
+  std::uint64_t ticket = 0;
   {
     std::lock_guard<std::mutex> lock(core_mu_);
     actions = core_.OnLocalTaskExit(gpid, std::move(result));
+    ticket = TicketFor(actions);
   }
-  Perform(std::move(actions));
+  Emit(ticket, std::move(actions));
 }
 
 void NodeHost::WaitTasksDrained() {
@@ -394,12 +406,72 @@ Status NodeHost::SendEnvelope(NodeId dst, const proto::Envelope& env) {
   return s;
 }
 
+Status NodeHost::SendToSelf(proto::Envelope env) {
+  // Shutdown stops the service loop, so it must reach the loop itself.
+  if (env.type() == proto::MsgType::kShutdown) return SendEnvelope(self(), env);
+  std::uint64_t bytes = 0;
+  const std::optional<Status> carried = endpoint_->ShapeLoopback([&] {
+    std::vector<std::uint8_t> payload = proto::Encode(env);
+    bytes = payload.size();
+    return payload;
+  });
+  if (carried.has_value()) {
+    // Not a clean loopback (a fault verdict): it travelled encoded.
+    if (carried->ok()) {
+      core_.CountSent(env.type());
+      core_.CountWireSent(bytes);
+    }
+    return *carried;
+  }
+  if (!serving_.load()) return Unavailable("node service loop exited");
+  core_.CountSent(env.type());
+  core_.CountRecv(env.type());
+  if (proto::IsClientResponse(env.type())) {
+    DeliverResponse(std::move(env));
+  } else {
+    local_inline_->Add();
+    Serve(std::move(env));
+  }
+  return Status::Ok();
+}
+
+std::uint64_t NodeHost::TicketFor(const KernelCore::Actions& actions) {
+  if (!actions.console.empty()) return next_ticket_++;
+  for (const KernelCore::Outgoing& out : actions.out) {
+    if (out.dst != self() || !proto::IsClientResponse(out.env.type())) {
+      return next_ticket_++;
+    }
+  }
+  return kUnordered;
+}
+
+void NodeHost::Emit(std::uint64_t ticket, KernelCore::Actions actions) {
+  if (ticket == kUnordered) {
+    Perform(std::move(actions));
+    return;
+  }
+  for (std::uint64_t turn = emit_turn_.load(std::memory_order_acquire);
+       turn != ticket; turn = emit_turn_.load(std::memory_order_acquire)) {
+    emit_turn_.wait(turn, std::memory_order_acquire);
+  }
+  std::vector<KernelCore::StartTask> start = std::exchange(actions.start, {});
+  Perform(std::move(actions));
+  emit_turn_.fetch_add(1, std::memory_order_release);
+  emit_turn_.notify_all();
+  // Thread creation is slow and orders against nothing: out of turn.
+  for (auto& st : start) StartTaskThread(std::move(st));
+}
+
 void NodeHost::Perform(KernelCore::Actions actions) {
   for (auto& line : actions.console) {
     if (options_.console_sink) options_.console_sink(std::move(line));
   }
   for (auto& out : actions.out) {
-    const Status s = SendEnvelope(out.dst, out.env);
+    // A response to self answers a local call: in place, never encoded.
+    const Status s =
+        out.dst == self() && proto::IsClientResponse(out.env.type())
+            ? SendToSelf(std::move(out.env))
+            : SendEnvelope(out.dst, out.env);
     if (!s.ok()) {
       DSE_LOG(kWarn) << "node " << self() << " send to " << out.dst
                      << " failed: " << s.ToString();
@@ -460,55 +532,87 @@ void NodeHost::ServiceLoop() {
                      << decoded.status().ToString();
       continue;
     }
-    proto::Envelope env = std::move(*decoded);
-    core_.CountRecv(env.type());
-    core_.CountWireRecv(delivery->payload.size());
-
-    // Any frame proves its sender alive (the detector's clock, lock-free);
-    // the membership agent revokes suspicions and consumes its own frames.
-    if (env.src_node >= 0 && env.src_node < core_.num_nodes()) {
-      last_heard_ms_[static_cast<size_t>(env.src_node)].store(
-          NowMs(), std::memory_order_relaxed);
-    }
-    if (KernelCore::Actions consumed; membership_.OnFrame(env, &consumed)) {
-      Perform(std::move(consumed));
-      continue;
-    }
-
-    if (proto::IsClientResponse(env.type())) {
-      // Cache fills happen on this ordered path before the waiting task can
-      // observe the response — see kernel_core.h.
-      core_.FillCacheFrom(env);
-      std::shared_ptr<Mailbox> box;
-      {
-        std::lock_guard<std::mutex> lock(pending_mu_);
-        const auto it = pending_.find(env.req_id);
-        if (it != pending_.end()) {
-          box = std::move(it->second.box);
-          pending_.erase(it);
-        }
-      }
-      if (box == nullptr) {
-        // Expected under faults: the duplicate of a dup'd response, or an
-        // answer arriving after its call was failed (timeout/dead peer).
-        core_.metrics().counter("rpc.orphan_resp")->Add();
-        DSE_LOG(kDebug) << "node " << self() << ": orphan response req_id "
-                        << env.req_id;
-        continue;
-      }
-      const std::uint64_t req_id = env.req_id;
-      Deliver(*box, RpcArrival{req_id, std::move(env)});
-      continue;
-    }
-
-    KernelCore::Actions actions;
-    {
-      std::lock_guard<std::mutex> lock(core_mu_);
-      actions = core_.Handle(env);
-    }
-    if (actions.shutdown) return;
-    Perform(std::move(actions));
+    NoteInbound(*decoded, delivery->payload.size());
+    if (!Serve(std::move(*decoded))) return;
   }
+}
+
+void NodeHost::NoteInbound(const proto::Envelope& env,
+                           std::uint64_t wire_bytes) {
+  core_.CountRecv(env.type());
+  core_.CountWireRecv(wire_bytes);
+  // Any frame proves its sender alive (the detector's clock, lock-free).
+  if (env.src_node >= 0 && env.src_node < core_.num_nodes()) {
+    last_heard_ms_[static_cast<size_t>(env.src_node)].store(
+        NowMs(), std::memory_order_relaxed);
+  }
+}
+
+bool NodeHost::TakeResponse(const net::Delivery& delivery) {
+  // Encode() writes the type tag first: everything but a response is left
+  // to the service loop undecoded.
+  if (delivery.payload.empty() ||
+      !proto::IsClientResponse(
+          static_cast<proto::MsgType>(delivery.payload[0]))) {
+    return false;
+  }
+  auto decoded = proto::Decode(delivery.payload);
+  if (!decoded.ok()) return false;  // the service loop logs and drops it
+  NoteInbound(*decoded, delivery.payload.size());
+  // A response only refreshes the sender's epoch stamp and suspicion latch;
+  // the agent consumes no response type, so there are no actions to run.
+  KernelCore::Actions none;
+  (void)membership_.OnFrame(*decoded, &none);
+  DeliverResponse(std::move(*decoded));
+  return true;
+}
+
+bool NodeHost::Serve(proto::Envelope env) {
+  // The membership agent revokes suspicions and consumes its own frames.
+  if (KernelCore::Actions consumed; membership_.OnFrame(env, &consumed)) {
+    Perform(std::move(consumed));
+    return true;
+  }
+  if (proto::IsClientResponse(env.type())) {
+    DeliverResponse(std::move(env));
+    return true;
+  }
+  KernelCore::Actions actions;
+  std::uint64_t ticket = 0;
+  {
+    std::lock_guard<std::mutex> lock(core_mu_);
+    actions = core_.Handle(env);
+    ticket = TicketFor(actions);
+  }
+  const bool shutdown = actions.shutdown;
+  if (shutdown) actions = {};  // the node stops: nothing more goes out
+  Emit(ticket, std::move(actions));
+  return !shutdown;
+}
+
+void NodeHost::DeliverResponse(proto::Envelope env) {
+  // The cache fill lands before the waiting task can observe the response,
+  // and on the thread that received it in the sender's order — see Emit.
+  core_.FillCacheFrom(env);
+  std::shared_ptr<Mailbox> box;
+  {
+    std::lock_guard<std::mutex> lock(pending_mu_);
+    const auto it = pending_.find(env.req_id);
+    if (it != pending_.end()) {
+      box = std::move(it->second.box);
+      pending_.erase(it);
+    }
+  }
+  if (box == nullptr) {
+    // Expected under faults: the duplicate of a dup'd response, or an
+    // answer arriving after its call was failed (timeout/dead peer).
+    core_.metrics().counter("rpc.orphan_resp")->Add();
+    DSE_LOG(kDebug) << "node " << self() << ": orphan response req_id "
+                    << env.req_id;
+    return;
+  }
+  const std::uint64_t req_id = env.req_id;
+  Deliver(*box, RpcArrival{req_id, std::move(env)});
 }
 
 }  // namespace dse

@@ -108,8 +108,16 @@ class NodeHost {
     return core_.PsSnapshot();
   }
 
-  // Starts the kernel service thread. Call exactly once.
+  // Installs the endpoint's receive hook and starts the kernel service
+  // thread. Call exactly once.
   void Start();
+
+  // Stops every thread of this host: the heartbeat prober, the service loop
+  // (shutting the endpoint) and the task threads. Idempotent; the
+  // destructor calls it. A runtime whose endpoints deliver frames on other
+  // hosts' threads stops every host before destroying any, since those
+  // threads run this host's receive hook.
+  void Stop();
 
   // Runs a registered task synchronously on the calling thread as a local
   // DSE process (used to bootstrap the main task). Returns its result.
@@ -147,7 +155,7 @@ class NodeHost {
   // --- internals shared with the Task implementation -----------------------
   // One task's inbox: responses and failures for its registered req_ids.
   // The pending table co-owns it, so a delivery racing the task's exit
-  // never touches freed memory, and the service thread pushes and wakes
+  // never touches freed memory, and the delivering thread pushes and wakes
   // the task without holding pending_mu_.
   struct Mailbox {
     std::mutex mu;
@@ -162,10 +170,18 @@ class NodeHost {
   void UnregisterCall(std::uint64_t req_id);
   net::Endpoint& endpoint() { return *endpoint_; }
   // Encodes, counts (per-type + wire bytes) and sends. The single outbound
-  // choke point — all kernel and client traffic flows through here so the
-  // metrics registry sees every message exactly once. Fails fast with
-  // kUnavailable on peers suspected dead (recovery frames excepted).
+  // choke point for encoded frames — every frame that crosses the endpoint
+  // flows through here so the metrics registry sees it exactly once. Fails
+  // fast with kUnavailable on peers suspected dead (recovery frames
+  // excepted).
   Status SendEnvelope(NodeId dst, const proto::Envelope& env);
+  // A frame to self, handled in place when the endpoint passes it clean: a
+  // request runs the kernel on the calling thread, a response goes straight
+  // into its caller's mailbox. Counted like a sent and received frame of its
+  // type (msg.*), never as wire traffic (net.*). Any other verdict carries
+  // it encoded through the endpoint, like SendEnvelope. Never call it for a
+  // request while emitting (see Emit): the inline kernel pass waits its turn.
+  Status SendToSelf(proto::Envelope env);
   // Client-side reaction to a kRetryResp epoch bounce (the membership
   // agent reconciles the two views).
   void HandleRetrySignal(NodeId responder, const proto::RetryResp& rr) {
@@ -180,6 +196,31 @@ class NodeHost {
   };
 
   void ServiceLoop();
+  // One decoded inbound frame, on whichever thread received it: membership
+  // frames go to the agent, responses to their mailbox, the rest through
+  // the kernel. False once the frame shut the node down.
+  bool Serve(proto::Envelope env);
+  // Receive hook: consumes client responses on the delivering thread (the
+  // service loop never sees them); every other frame is left to the queue.
+  bool TakeResponse(const net::Delivery& delivery);
+  // Counts one decoded inbound frame and stamps its sender alive.
+  void NoteInbound(const proto::Envelope& env, std::uint64_t wire_bytes);
+  // Cache fill, then the waiting task's mailbox (or rpc.orphan_resp).
+  void DeliverResponse(proto::Envelope env);
+  // Carries out actions produced under core_mu_ with emit ticket `ticket`.
+  // Kernel passes run on the service thread and on task threads at once, so
+  // per destination their frames must still leave in the order the kernel
+  // produced them (a block-fetch ReadResp must never be overtaken by the
+  // InvalidateReq that follows it). Tickets are taken under core_mu_ and
+  // sends wait their turn outside it: no socket send ever holds core_mu_.
+  void Emit(std::uint64_t ticket, KernelCore::Actions actions);
+  // The emit ticket for `actions` (caller holds core_mu_), or kUnordered
+  // when they only answer calls from this node: those responses land in
+  // their mailboxes in place, in any order. Most local calls thus never
+  // hold a turn, so a task thread descheduled mid-call cannot stall the
+  // service thread's replies behind it.
+  std::uint64_t TicketFor(const KernelCore::Actions& actions);
+  static constexpr std::uint64_t kUnordered = UINT64_MAX;
   void Perform(KernelCore::Actions actions);
   void StartTaskThread(KernelCore::StartTask st);
   void RunTask(KernelCore::StartTask st);
@@ -200,18 +241,26 @@ class NodeHost {
   KernelCore core_;
 
   std::mutex core_mu_;  // serializes KernelCore server state
+  // Emit tickets: the next one is handed out under core_mu_ with each batch
+  // of kernel actions; emit_turn_ is the ticket whose sends may go now.
+  std::uint64_t next_ticket_ = 0;
+  std::atomic<std::uint64_t> emit_turn_{0};
   recovery::MembershipAgent membership_;
+  Counter* local_inline_ = nullptr;  // rpc.local_inline
   std::atomic<std::uint64_t> next_req_id_{1};
   std::mutex pending_mu_;
   std::unordered_map<std::uint64_t, Pending> pending_;
 
   std::thread service_;
+  // False once the service loop is gone: nothing may enter the kernel in
+  // place any more, as nothing would fail the call it leaves pending.
+  std::atomic<bool> serving_{true};
   std::mutex service_exit_mu_;
   std::condition_variable service_exit_cv_;
   bool service_exited_ = false;
 
   // Heartbeat detector state: the steady-clock stamp of the last frame
-  // received from each peer (stamped lock-free on the service thread).
+  // received from each peer (stamped lock-free by the receiving thread).
   std::vector<std::atomic<std::int64_t>> last_heard_ms_;
   std::thread heartbeat_;
   std::mutex hb_mu_;

@@ -209,9 +209,12 @@ bool MembershipAgent::OnFrame(const proto::Envelope& env, Actions* actions) {
   const NodeId src = env.src_node;
   if (src >= 0 && src < num_nodes() && src != self()) {
     const auto si = static_cast<size_t>(src);
-    // Single writer per node (the service path), so load + store suffices.
-    if (env.epoch > heard_epoch_[si].load(std::memory_order_relaxed)) {
-      heard_epoch_[si].store(env.epoch, std::memory_order_relaxed);
+    // Frames from one peer arrive on several threads (the service loop, and
+    // whichever thread delivers a response), so raise the stamp by CAS max.
+    std::uint32_t heard = heard_epoch_[si].load(std::memory_order_relaxed);
+    while (env.epoch > heard &&
+           !heard_epoch_[si].compare_exchange_weak(
+               heard, env.epoch, std::memory_order_relaxed)) {
     }
     // A frame from a suspected peer that is still a member revokes the
     // suspicion — a quorum-parked side of a partition resumes this way.

@@ -93,7 +93,10 @@ ThreadedRuntime::ThreadedRuntime(ThreadedOptions options)
 
 ThreadedRuntime::~ThreadedRuntime() {
   fabric_->inproc.ShutdownAll();
-  hosts_.clear();  // joins service + task threads
+  // An in-process frame is delivered on its sender's thread, which runs the
+  // receiving host's hook: every host's threads stop before any host dies.
+  for (auto& host : hosts_) host->Stop();
+  hosts_.clear();
 }
 
 std::vector<std::uint8_t> ThreadedRuntime::RunMain(

@@ -9,7 +9,9 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -55,6 +57,30 @@ class Endpoint {
   // Unblocks all receivers on this endpoint permanently.
   virtual void Shutdown() = 0;
 
+  // Receive hook: each inbound frame is offered to it on the thread that
+  // delivers the frame (in-process: the sender's thread; TCP: the peer's
+  // reader thread; loopback: the thread sending to itself) before it is
+  // queued for Recv. A frame the hook accepts (returns true) is consumed
+  // there and never queued. Install once; the hook may run as soon as this
+  // returns, and its owner must outlive every thread that can deliver a
+  // frame to this endpoint.
+  using ReceiveHook = std::function<bool(const Delivery&)>;
+  virtual void SetReceiveHook(ReceiveHook hook) {
+    hook_ = std::move(hook);
+    hook_set_.store(true, std::memory_order_release);
+  }
+
+  // A frame to self may skip the transport altogether and be handled in
+  // place by the caller: no encode, no queue, no wake-up. An endpoint that
+  // shapes traffic (fault injection) draws the frame's verdict here:
+  // nullopt is a clean delivery, so the caller handles the frame in place;
+  // otherwise the endpoint has carried `encode()`'s bytes as Send would and
+  // returns Send's status. Plain transports always answer nullopt.
+  using EncodeFn = std::function<std::vector<std::uint8_t>()>;
+  virtual std::optional<Status> ShapeLoopback(const EncodeFn& /*encode*/) {
+    return std::nullopt;
+  }
+
   WireCounts wire_counts() const {
     WireCounts w;
     w.msgs_sent = msgs_sent_.load(std::memory_order_relaxed);
@@ -74,8 +100,17 @@ class Endpoint {
     msgs_recv_.fetch_add(1, std::memory_order_relaxed);
     bytes_recv_.fetch_add(bytes, std::memory_order_relaxed);
   }
+  // Offers `d` to the receive hook; true (and counted as received) when
+  // the hook consumed it.
+  bool OfferToHook(const Delivery& d) {
+    if (!hook_set_.load(std::memory_order_acquire) || !hook_(d)) return false;
+    NoteRecv(d.payload.size());
+    return true;
+  }
 
  private:
+  ReceiveHook hook_;
+  std::atomic<bool> hook_set_{false};
   std::atomic<std::uint64_t> msgs_sent_{0};
   std::atomic<std::uint64_t> bytes_sent_{0};
   std::atomic<std::uint64_t> msgs_recv_{0};

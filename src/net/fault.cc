@@ -386,7 +386,32 @@ Status FaultyEndpoint::Send(NodeId dst, std::vector<std::uint8_t> payload) {
   }
 
   const FaultAction act = injector_->OnSend(self(), dst, payload.size());
+  return Carry(dst, std::move(payload), act);
+}
 
+std::optional<Status> FaultyEndpoint::ShapeLoopback(const EncodeFn& encode) {
+  std::vector<std::uint8_t> payload = encode();
+  if (immune_ && immune_(payload)) return std::nullopt;
+  const FaultAction act = injector_->OnSend(self(), self(), payload.size());
+  if (act.deliver && !act.duplicate && act.truncate_to < 0) {
+    // A clean frame passing a loopback link with held frames must release
+    // them behind it, which only the carried path does.
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!delayed_.Holds(self(), self())) return std::nullopt;
+  }
+  return Carry(self(), std::move(payload), act);
+}
+
+void FaultyEndpoint::SetReceiveHook(ReceiveHook hook) {
+  inner_->SetReceiveHook([this, hook = std::move(hook)](const Delivery& d) {
+    if (!hook(d)) return false;
+    NoteRecv(d.payload.size());
+    return true;
+  });
+}
+
+Status FaultyEndpoint::Carry(NodeId dst, std::vector<std::uint8_t> payload,
+                             const FaultAction& act) {
   // Frames released by this frame's passage deliver after it; collect them
   // now (under the lock) and forward after the current frame goes out. The
   // current frame ages only previously-held frames — holding happens after

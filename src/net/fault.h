@@ -212,6 +212,9 @@ class DelayLine {
   }
 
   bool empty() const { return held_.empty(); }
+  bool Holds(NodeId src, NodeId dst) const {
+    return held_.count({src, dst}) > 0;
+  }
 
   // Discards every held frame travelling from or to `node`. Recovery calls
   // this when a node is evicted: a write the dead primary sent before the
@@ -243,6 +246,9 @@ class DelayLine {
 // path (receive passes through: faults happen "on the wire"). Frames the
 // `immune` predicate accepts bypass injection entirely — runtimes exempt
 // the Shutdown control message so teardown models an out-of-band channel.
+// A frame to self that its sender would handle in place draws its verdict
+// in ShapeLoopback, so local calls still count toward kill schedules and
+// die with their node; only a clean verdict lets the caller skip the wire.
 class FaultyEndpoint final : public Endpoint {
  public:
   using ImmunePredicate =
@@ -257,8 +263,15 @@ class FaultyEndpoint final : public Endpoint {
   std::optional<Delivery> Recv() override;
   std::optional<Delivery> TryRecv() override;
   void Shutdown() override { inner_->Shutdown(); }
+  // Installs on the inner endpoint; consumed frames count here too.
+  void SetReceiveHook(ReceiveHook hook) override;
+  std::optional<Status> ShapeLoopback(const EncodeFn& encode) override;
 
  private:
+  // Carries `payload` to `dst` under the verdict `act` already drawn for it.
+  Status Carry(NodeId dst, std::vector<std::uint8_t> payload,
+               const FaultAction& act);
+
   Endpoint* inner_;
   FaultInjector* injector_;
   ImmunePredicate immune_;

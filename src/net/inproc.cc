@@ -1,5 +1,7 @@
 #include "net/inproc.h"
 
+#include <atomic>
+
 #include "common/check.h"
 
 namespace dse::net {
@@ -16,12 +18,16 @@ class InProcFabric::NodeEndpoint final : public Endpoint {
     if (dst < 0 || dst >= fabric_->size()) {
       return InvalidArgument("send to unknown node " + std::to_string(dst));
     }
+    NodeEndpoint& to = *fabric_->endpoints_[static_cast<size_t>(dst)];
+    if (to.closed_.load(std::memory_order_acquire)) {
+      return Unavailable("destination endpoint shut down");
+    }
     const std::uint64_t bytes = payload.size();
     Delivery d;
     d.src = id_;
     d.payload = std::move(payload);
-    if (!fabric_->endpoints_[static_cast<size_t>(dst)]->inbox_.Push(
-            std::move(d))) {
+    // The destination's hook runs here, on the sending thread.
+    if (!to.OfferToHook(d) && !to.inbox_.Push(std::move(d))) {
       return Unavailable("destination endpoint shut down");
     }
     NoteSend(bytes);
@@ -38,13 +44,18 @@ class InProcFabric::NodeEndpoint final : public Endpoint {
     if (d) NoteRecv(d->payload.size());
     return d;
   }
-  void Shutdown() override { inbox_.Close(); }
+  void Shutdown() override {
+    closed_.store(true, std::memory_order_release);
+    inbox_.Close();
+  }
 
  private:
   friend class InProcFabric;
   InProcFabric* fabric_;
   NodeId id_;
   BlockingQueue<Delivery> inbox_;
+  // Set by Shutdown: no new frame reaches the hook or the inbox.
+  std::atomic<bool> closed_{false};
 };
 
 InProcFabric::InProcFabric(int num_nodes) {

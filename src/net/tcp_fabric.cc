@@ -17,8 +17,8 @@ namespace dse::net {
 
 class TcpFabricEndpoint::Impl {
  public:
-  Impl(NodeId self, std::vector<TcpNodeAddr> nodes)
-      : self_(self), nodes_(std::move(nodes)) {
+  Impl(TcpFabricEndpoint* owner, NodeId self, std::vector<TcpNodeAddr> nodes)
+      : owner_(owner), self_(self), nodes_(std::move(nodes)) {
     peers_.reserve(nodes_.size());
     for (size_t i = 0; i < nodes_.size(); ++i) {
       peers_.push_back(std::make_unique<Peer>());
@@ -95,10 +95,16 @@ class TcpFabricEndpoint::Impl {
       return InvalidArgument("send to unknown node " + std::to_string(dst));
     }
     if (dst == self_) {
+      if (shutting_down_.load(std::memory_order_acquire)) {
+        return Unavailable("endpoint shut down");
+      }
       Delivery d;
       d.src = self_;
       d.payload = std::move(payload);
-      if (!inbox_.Push(std::move(d))) return Unavailable("endpoint shut down");
+      // Loopback: the hook runs on the thread sending to itself.
+      if (!owner_->OfferToHook(d) && !inbox_.Push(std::move(d))) {
+        return Unavailable("endpoint shut down");
+      }
       return Status::Ok();
     }
     Peer& peer = *peers_[static_cast<size_t>(dst)];
@@ -151,8 +157,9 @@ class TcpFabricEndpoint::Impl {
     Peer& peer = *peers_[static_cast<size_t>(id)];
     FrameDecoder& dec = peer.dec;
     // Frames pipelined behind the rendezvous hello are already decoded.
+    // The receive hook runs on this reader thread, in the peer's send order.
     while (auto d = dec.Next()) {
-      if (!inbox_.Push(std::move(*d))) return;
+      if (!owner_->OfferToHook(*d) && !inbox_.Push(std::move(*d))) return;
     }
     std::vector<std::uint8_t> buf(64 * 1024);
     for (;;) {
@@ -164,7 +171,9 @@ class TcpFabricEndpoint::Impl {
         break;
       }
       while (auto d = dec.Next()) {
-        if (!inbox_.Push(std::move(*d))) return;  // shutting down
+        if (!owner_->OfferToHook(*d) && !inbox_.Push(std::move(*d))) {
+          return;  // shutting down
+        }
       }
     }
     // The recv side saw a close, error or garbage outside of an orderly
@@ -189,6 +198,7 @@ class TcpFabricEndpoint::Impl {
     }
   }
 
+  TcpFabricEndpoint* owner_;  // runs the receive hook and counts its frames
   NodeId self_;
   std::vector<TcpNodeAddr> nodes_;
   std::vector<std::unique_ptr<Peer>> peers_;
@@ -196,8 +206,9 @@ class TcpFabricEndpoint::Impl {
   std::atomic<bool> shutting_down_{false};
 };
 
-TcpFabricEndpoint::TcpFabricEndpoint(std::unique_ptr<Impl> impl)
-    : impl_(std::move(impl)) {}
+TcpFabricEndpoint::TcpFabricEndpoint(NodeId self,
+                                     std::vector<TcpNodeAddr> nodes)
+    : impl_(std::make_unique<Impl>(this, self, std::move(nodes))) {}
 
 TcpFabricEndpoint::~TcpFabricEndpoint() = default;
 
@@ -206,10 +217,10 @@ Result<std::unique_ptr<TcpFabricEndpoint>> TcpFabricEndpoint::Create(
   if (self < 0 || static_cast<size_t>(self) >= nodes.size()) {
     return InvalidArgument("self id out of range");
   }
-  auto impl = std::make_unique<Impl>(self, std::move(nodes));
-  DSE_RETURN_IF_ERROR(impl->Rendezvous(connect_timeout_ms));
-  return std::unique_ptr<TcpFabricEndpoint>(
-      new TcpFabricEndpoint(std::move(impl)));
+  std::unique_ptr<TcpFabricEndpoint> endpoint(
+      new TcpFabricEndpoint(self, std::move(nodes)));
+  DSE_RETURN_IF_ERROR(endpoint->impl_->Rendezvous(connect_timeout_ms));
+  return endpoint;
 }
 
 NodeId TcpFabricEndpoint::self() const { return impl_->self(); }

@@ -41,7 +41,7 @@ class TcpFabricEndpoint : public Endpoint {
 
  private:
   class Impl;
-  explicit TcpFabricEndpoint(std::unique_ptr<Impl> impl);
+  TcpFabricEndpoint(NodeId self, std::vector<TcpNodeAddr> nodes);
   std::unique_ptr<Impl> impl_;
 };
 

@@ -29,6 +29,7 @@
 #include "dse/sim_runtime.h"
 #include "dse/threaded_runtime.h"
 #include "net/fault.h"
+#include "net/inproc.h"
 #include "platform/profile.h"
 
 namespace dse {
@@ -224,6 +225,66 @@ TEST(DelayLineT, FramesAgeByLaterTrafficAndReleaseInHoldOrder) {
   line.Hold(2, 3, 7, 1);
   EXPECT_TRUE(line.OnFramePassed(0, 1).empty());
   EXPECT_EQ(line.OnFramePassed(2, 3).size(), 1u);
+}
+
+// A frame to self that its sender would handle in place still draws a
+// verdict: it counts toward the global frame schedule, and only a clean one
+// skips the wire — a dead node's local frame is carried (and dropped), never
+// handled in place.
+TEST(FaultyEndpointT, LoopbackVerdictsKeepLocalFramesUnderThePlan) {
+  FaultPlan plan;
+  plan.kills.push_back({0, 3});
+  FaultInjector inj(plan);
+  net::InProcFabric fabric(2);
+  net::FaultyEndpoint ep(&fabric.endpoint(0), &inj);
+  int encodes = 0;
+  const net::Endpoint::EncodeFn encode = [&encodes] {
+    ++encodes;
+    return std::vector<std::uint8_t>{1, 2, 3};
+  };
+
+  EXPECT_FALSE(ep.ShapeLoopback(encode).has_value());  // frame 1: clean
+  EXPECT_FALSE(ep.ShapeLoopback(encode).has_value());  // frame 2: clean
+  const std::optional<Status> carried = ep.ShapeLoopback(encode);  // kill
+  ASSERT_TRUE(carried.has_value());
+  EXPECT_TRUE(carried->ok());  // a dropped frame looks sent to its sender
+  EXPECT_EQ(encodes, 3);
+  EXPECT_FALSE(fabric.endpoint(0).TryRecv().has_value());  // dropped
+  EXPECT_EQ(ep.wire_counts().msgs_sent, 0u);  // in-place frames never sent
+
+  const MetricsSnapshot c = inj.Counters();
+  EXPECT_EQ(Get(c, "fault.frames_seen"), 3u);
+  EXPECT_EQ(Get(c, "fault.injected.dead_drop"), 1u);
+}
+
+// A held loopback frame is released by the next one on its link, so that
+// next frame is carried behind it even when its own verdict is clean.
+TEST(FaultyEndpointT, CleanLoopbackFrameBehindAHeldOneIsCarried) {
+  FaultPlan plan;
+  plan.delay_p = 0.5;
+  plan.delay_frames = 1;
+  // A seed whose loopback stream holds the first frame and passes the next.
+  for (plan.seed = 1;; ++plan.seed) {
+    FaultInjector probe(plan);
+    if (probe.OnSend(0, 0, 1).delay_frames > 0 &&
+        probe.OnSend(0, 0, 1).deliver) {
+      break;
+    }
+  }
+  FaultInjector inj(plan);
+  net::InProcFabric fabric(1);
+  net::FaultyEndpoint ep(&fabric.endpoint(0), &inj);
+  const net::Endpoint::EncodeFn encode = [] {
+    return std::vector<std::uint8_t>{9};
+  };
+  ASSERT_TRUE(ep.ShapeLoopback(encode).has_value());  // held
+  EXPECT_FALSE(fabric.endpoint(0).TryRecv().has_value());
+  const std::optional<Status> second = ep.ShapeLoopback(encode);
+  ASSERT_TRUE(second.has_value());  // clean, but carried behind the first
+  EXPECT_TRUE(second->ok());
+  EXPECT_TRUE(fabric.endpoint(0).TryRecv().has_value());
+  EXPECT_TRUE(fabric.endpoint(0).TryRecv().has_value());
+  EXPECT_FALSE(fabric.endpoint(0).TryRecv().has_value());
 }
 
 // --- Threaded runtime: drops, dups, severs, kills ---------------------------
